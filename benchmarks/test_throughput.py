@@ -6,11 +6,9 @@ telemetry off, the same with telemetry on (so the subsystem's overhead is
 a recorded number, not a claim), and sampled per-stage wall-time shares.
 
 The document is a multi-config trajectory: a ``cells`` map measures every
-(config, policy, engine) combination in the grid below, each cell its own
+(config, policy) combination in the grid below, each cell its own
 regression gate, and a bounded ``history`` list records how the numbers
-moved across runs.  Both the reference and the fast engine are measured —
-and because they are lockstep-equivalent, their simulated cycle counts
-must agree exactly, which this benchmark also asserts.
+moved across runs.
 
 The result is written to ``BENCH_swque.json`` at the repo root — the
 committed copy is the performance baseline future hot-path changes are
@@ -49,10 +47,9 @@ BENCH_PATH = REPO_ROOT / "BENCH_swque.json"
 #: gated check (0.30 = fail when more than 30% slower), per cell.
 REGRESSION_TOLERANCE = 0.30
 
-#: The (config, policy) grid each engine is measured on.
+#: The (config, policy) grid.
 GRID_CONFIGS = ("small", "medium")
 GRID_POLICIES = ("circ", "swque")
-ENGINES = ("reference", "fast")
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 CHECK_BASELINE = os.environ.get("BENCH_CHECK_BASELINE") == "1"
@@ -73,22 +70,20 @@ def test_throughput():
     repeats = 1 if SMOKE else 2
     committed = _load_committed_baseline()
 
-    # Full trajectory grid: every (config, policy, engine) cell runs
+    # Full trajectory grid: every (config, policy) cell runs
     # unperturbed — no telemetry, no stage profiler.
     cells = {}
     for config_name in GRID_CONFIGS:
         config = get_config(config_name)
         for policy in GRID_POLICIES:
-            for engine in ENGINES:
-                result = measure_throughput(
-                    "exchange2",
-                    policy,
-                    config=config,
-                    num_instructions=num_instructions,
-                    repeats=repeats,
-                    fast=(engine == "fast"),
-                )
-                cells[result.cell_key] = result
+            result = measure_throughput(
+                "exchange2",
+                policy,
+                config=config,
+                num_instructions=num_instructions,
+                repeats=repeats,
+            )
+            cells[result.cell_key] = result
 
     # The headline baseline is the paper-default cell.
     baseline = cells["medium/swque/reference"]
@@ -126,21 +121,10 @@ def test_throughput():
     assert staged.cycles == baseline.cycles
     assert abs(sum(staged.stage_shares.values()) - 1.0) < 1e-6
 
-    # The fast engine is lockstep-equivalent to the reference: per
-    # (config, policy) the simulated cycle counts must agree exactly.
-    for config_name in GRID_CONFIGS:
-        for policy in GRID_POLICIES:
-            ref = cells[f"{config_name}/{policy}/reference"]
-            fast = cells[f"{config_name}/{policy}/fast"]
-            assert fast.cycles == ref.cycles, (
-                f"{config_name}/{policy}: fast engine simulated "
-                f"{fast.cycles} cycles, reference {ref.cycles}"
-            )
-
     if CHECK_BASELINE:
         committed_cells = committed.get("cells", {})
         if committed_cells:
-            # Per-cell gate: each (config, policy, engine) cell is judged
+            # Per-cell gate: each (config, policy) cell is judged
             # against its own committed baseline.
             failures = []
             for key, result in cells.items():

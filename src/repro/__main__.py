@@ -66,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verify", action="store_true",
                      help="cross-check every commit against the golden "
                           "reference model (lockstep architectural oracle)")
-    run.add_argument("--fast", action="store_true",
-                     help="use the fast engine (dead-cycle fast-forward; "
-                          "bit-identical results, composable with --verify)")
     run.add_argument("--profile", action="store_true",
                      help="measure host-side throughput and print the "
                           "per-stage wall-time shares instead of a plain run")
@@ -149,9 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run every cell with interval telemetry and "
                             "export per-cell timeline/events/Chrome-trace "
                             "artifacts into DIR")
-    sweep.add_argument("--fast", action="store_true",
-                       help="run every cell on the fast engine "
-                            "(bit-identical results, much higher cycles/sec)")
 
     replay = sub.add_parser(
         "replay",
@@ -303,11 +297,8 @@ def main(argv=None) -> int:
                 config=config,
                 num_instructions=args.instructions,
                 profile_stages=True,
-                fast=args.fast,
             )
-            engine = "fast" if args.fast else "reference"
-            print(f"{args.workload}/{args.policy}/{config.name} "
-                  f"[{engine} engine]: "
+            print(f"{args.workload}/{args.policy}/{config.name}: "
                   f"{profiled.cycles_per_sec:,.0f} cycles/sec, "
                   f"{profiled.instructions_per_sec:,.0f} insts/sec "
                   f"({profiled.cycles:,} cycles in {profiled.seconds:.2f}s)")
@@ -321,7 +312,7 @@ def main(argv=None) -> int:
             return 0
         result = simulate(args.workload, args.policy, config=config,
                           num_instructions=args.instructions,
-                          verify=args.verify, fast=args.fast)
+                          verify=args.verify)
         print(result.summary())
         if args.verify:
             print(f"verified: golden model matched all "
@@ -441,7 +432,6 @@ def main(argv=None) -> int:
             num_instructions=args.instructions,
             seed=args.seed,
             max_cycles=args.max_cycles,
-            fast=args.fast,
         )
         from repro.telemetry.profile import RateMeter
 

@@ -88,6 +88,10 @@ class IssueQueue(ABC):
     #: Short policy name, overridden by subclasses (used in reports).
     name = "abstract"
 
+    #: Slot bitmask of the ready set in queues whose select walks it (the
+    #: RAND and CIRC families); None in queues that order the list itself.
+    _ready_mask: Optional[int] = None
+
     def __init__(
         self,
         size: int,
@@ -235,35 +239,17 @@ class IssueQueue(ABC):
         """Per-cycle hook; default records occupancy for utilization stats."""
         self.stats.iq_occupancy_sum += self.occupancy
 
-    def tick_bulk(self, cycles: int) -> None:
-        """Equivalent of ``cycles`` consecutive :meth:`tick` calls.
-
-        Used by the fast engine when it skips a dead stretch: occupancy is
-        constant across skipped cycles (nothing dispatches or issues), so
-        the per-cycle accumulation collapses to one multiply.
-        """
-        self.stats.iq_occupancy_sum += self.occupancy * cycles
-
-    @property
-    def quiescent(self) -> bool:
-        """True when :meth:`select` is guaranteed to be a side-effect-free
-        no-op this cycle (and every following cycle until a wakeup,
-        dispatch, eviction, or flush changes the queue).
-
-        The fast engine may only skip a cycle when this holds: a quiescent
-        queue issues nothing, mutates nothing, and bumps no counters.
-        Subclasses with extra select-path state (CIRC-PC's pending RV
-        grants, HSW's mover, OLDQ's rearranger) must extend this.
-        """
-        return not self.ready
-
     def check_invariants(self) -> None:
         """Cheap structural self-check; raise :class:`InvariantViolation`.
 
         Called once per cycle by the pipeline's guard layer.  The base
-        checks are O(1): occupancy stays within ``[0, size]`` and the ready
-        set never exceeds the queue capacity.  Subclasses extend this with
-        organization-specific state checks (see SWQUE's mode consistency).
+        checks are cheap: occupancy stays within ``[0, size]``, the ready
+        set never exceeds the queue capacity, and in a masked queue the
+        ready matrix holds exactly the ready set's entries (the matrix is
+        the only source of select order, so an entry written to the list
+        behind the queue's back would never issue).  Subclasses extend
+        this with organization-specific state checks (see SWQUE's mode
+        consistency).
         """
         if not 0 <= self.occupancy <= self.size:
             raise InvariantViolation(
@@ -274,6 +260,13 @@ class IssueQueue(ABC):
             raise InvariantViolation(
                 "iq-ready-overflow",
                 f"{len(self.ready)} ready entries in a {self.size}-entry queue",
+            )
+        mask = self._ready_mask
+        if mask is not None and bin(mask).count("1") != len(self.ready):
+            raise InvariantViolation(
+                "iq-ready-mask",
+                f"ready matrix holds {bin(mask).count('1')} entries but the "
+                f"ready set {len(self.ready)}",
             )
 
     # -- mode-switching hooks (no-ops except in SWQUE) -------------------------------

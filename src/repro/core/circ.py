@@ -20,13 +20,10 @@ select logic magically sees the true age order.  The paper's CIRC-PC
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import List, Optional
 
 from repro.core.base import IssueQueue, insts_by_slot
 from repro.cpu.dyninst import DynInst
-
-_SLOT_KEY = attrgetter("iq_slot")
 
 
 class CircularQueue(IssueQueue):
@@ -107,12 +104,7 @@ class CircularQueue(IssueQueue):
     def ordered_ready(self) -> List[DynInst]:
         # Position-based select logic, oblivious to wrap-around: this is
         # exactly the reversed-priority problem of Section 3.1.1.
-        mask = self._ready_mask
-        if bin(mask).count("1") == len(self.ready):
-            return insts_by_slot(mask, self._slots)
-        # Matrix out of sync with the ready list (fault injection writes
-        # the list directly): legacy scan so the bad entry still issues.
-        return sorted(self.ready, key=_SLOT_KEY)
+        return insts_by_slot(self._ready_mask, self._slots)
 
     def priority_rank(self, inst: DynInst) -> int:
         return inst.iq_slot
@@ -185,13 +177,11 @@ class CircularQueuePerfectPriority(CircularQueue):
         # entries and slots < head_slot the post-wrap (young) ones, each
         # group slot-ascending by construction.
         mask = self._ready_mask
-        if bin(mask).count("1") == len(self.ready):
-            head = self.head_slot
-            out = insts_by_slot(mask >> head, self._slots, base=head)
-            if head:
-                insts_by_slot(mask & ((1 << head) - 1), self._slots, out=out)
-            return out
-        return sorted(self.ready, key=lambda i: i.iq_vpos)
+        head = self.head_slot
+        out = insts_by_slot(mask >> head, self._slots, base=head)
+        if head:
+            insts_by_slot(mask & ((1 << head) - 1), self._slots, out=out)
+        return out
 
     def priority_rank(self, inst: DynInst) -> int:
         rank = inst.iq_vpos - self._vh

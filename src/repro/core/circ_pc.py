@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import List, TYPE_CHECKING
 
 from repro.core.base import insts_by_slot
-from repro.core.circ import CircularQueue, _SLOT_KEY
+from repro.core.circ import CircularQueue
 from repro.cpu.dyninst import DynInst
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,15 +58,11 @@ class CircPCQueue(CircularQueue):
         With the circular discipline this equals the true age order, which
         is exactly the point of the priority correction.
         """
-        return sorted(self.ready, key=self._corrected_key)
-
-    def _corrected_key(self, inst: DynInst) -> tuple:
-        return (self._is_rv(inst), inst.iq_slot)
-
-    def _is_rv(self, inst: DynInst) -> bool:
-        # Figure 5: request goes to S_RV when the entry's reverse flag is
-        # set AND the queue currently spans the wrap-around boundary.
-        return inst.reverse_flag and self.spans_wraparound
+        mask, slots = self._ready_mask, self._slots
+        if not self.spans_wraparound:
+            return insts_by_slot(mask, slots)
+        out = insts_by_slot(mask & ~self._rv_mask, slots)
+        return insts_by_slot(mask & self._rv_mask, slots, out=out)
 
     def priority_rank(self, inst: DynInst) -> int:
         rank = inst.iq_vpos - self._vh
@@ -86,32 +82,21 @@ class CircPCQueue(CircularQueue):
         slots = self._slots
         granted: List[DynInst] = []
 
-        # The mask fast path only applies while the ready matrix agrees
-        # with the ready list (fault injection writes the list directly).
-        mask_ok = bin(self._ready_mask).count("1") == len(ready)
-
-        # S_NR: this cycle's NR instructions, position order.  Instructions
-        # with a pending RV grant are excluded even if the wrap-around
-        # signal has meanwhile dropped (their grant is already in flight).
-        if mask_ok:
-            nr_mask = self._ready_mask
-            if self.spans_wraparound:
-                nr_mask &= ~self._rv_mask
-            for inst in pending:
-                # A pending entry may have been squashed and its slot
-                # reused; only clear the bit while the slot is still its.
-                if inst.in_iq and slots[inst.iq_slot] is inst:
-                    nr_mask &= ~(1 << inst.iq_slot)
-            nr_ready = insts_by_slot(nr_mask, slots)
-        else:
-            pending_ids = {id(inst) for inst in pending}
-            nr_ready = [
-                inst
-                for inst in ready
-                if id(inst) not in pending_ids and not self._is_rv(inst)
-            ]
-            nr_ready.sort(key=_SLOT_KEY)
-        for inst in nr_ready:
+        # S_NR: this cycle's NR instructions, position order.  Figure 5: a
+        # request goes to S_RV instead when the entry's reverse flag is set
+        # AND the queue currently spans the wrap-around boundary.
+        # Instructions with a pending RV grant are excluded even if the
+        # wrap-around signal has meanwhile dropped (their grant is already
+        # in flight).
+        nr_mask = self._ready_mask
+        if self.spans_wraparound:
+            nr_mask &= ~self._rv_mask
+        for inst in pending:
+            # A pending entry may have been squashed and its slot reused;
+            # only clear the bit while the slot is still its.
+            if inst.in_iq and slots[inst.iq_slot] is inst:
+                nr_mask &= ~(1 << inst.iq_slot)
+        for inst in insts_by_slot(nr_mask, slots):
             if len(granted) >= width:
                 break
             if try_claim(inst, cycle):
@@ -134,14 +119,8 @@ class CircPCQueue(CircularQueue):
         # cycle's time-sliced tag RAM read.  Re-read the matrix here: the
         # grants just committed moved head/tail, which can change both the
         # ready bits and the wrapped-around signal.
-        if mask_ok:
-            rv_sel = (
-                self._ready_mask & self._rv_mask if self.spans_wraparound else 0
-            )
-            rv_ready = insts_by_slot(rv_sel, slots) if rv_sel else []
-        else:
-            rv_ready = [inst for inst in ready if self._is_rv(inst)]
-            rv_ready.sort(key=_SLOT_KEY)
+        rv_sel = self._ready_mask & self._rv_mask if self.spans_wraparound else 0
+        rv_ready = insts_by_slot(rv_sel, slots) if rv_sel else []
         if rv_ready:
             self._pending_rv = rv_ready[:width]
             self.stats.iq_select_rv_ops += 1
@@ -151,12 +130,6 @@ class CircPCQueue(CircularQueue):
         else:
             self._pending_rv = []
         return granted
-
-    @property
-    def quiescent(self) -> bool:
-        # A pending RV grant still needs its DTM merge slot next cycle, so
-        # select() is only a guaranteed no-op once both queues are empty.
-        return not self.ready and not self._pending_rv
 
     # -- maintenance ---------------------------------------------------------------
 

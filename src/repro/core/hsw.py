@@ -155,15 +155,6 @@ class HierarchicalQueue(IssueQueue):
         self._commit_grants(granted)
         return granted
 
-    @property
-    def quiescent(self) -> bool:
-        # select() always runs the mover first; with an empty ready set
-        # every slow-queue entry is non-ready, so the mover is a no-op only
-        # when the fast queue is full or the slow queue is empty.
-        return not self.ready and (
-            len(self._fast) >= self.fast_entries or not self._slow
-        )
-
     # -- removal / maintenance ---------------------------------------------------------
 
     def remove(self, inst: DynInst) -> None:

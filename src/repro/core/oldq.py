@@ -64,23 +64,16 @@ class OldQueue(RandomQueue):
         if not old:
             return super().ordered_ready()
         mask = self._ready_mask
-        if bin(mask).count("1") == len(self.ready):
-            # _rearrange appends in ascending seq order and removals keep
-            # it, so filtering _old by readiness IS the age-sorted prefix.
-            out: List[DynInst] = []
-            old_mask = 0
-            for inst in old:
-                bit = 1 << inst.iq_slot
-                if mask & bit:
-                    out.append(inst)
-                    old_mask |= bit
-            return insts_by_slot(mask & ~old_mask, self._slots, out=out)
-        old_ids = {id(i) for i in old}
-        return sorted(
-            self.ready,
-            key=lambda i: (id(i) not in old_ids,
-                           i.seq if id(i) in old_ids else i.iq_slot),
-        )
+        # _rearrange appends in ascending seq order and removals keep it,
+        # so filtering _old by readiness IS the age-sorted prefix.
+        out: List[DynInst] = []
+        old_mask = 0
+        for inst in old:
+            bit = 1 << inst.iq_slot
+            if mask & bit:
+                out.append(inst)
+                old_mask |= bit
+        return insts_by_slot(mask & ~old_mask, self._slots, out=out)
 
     def priority_rank(self, inst: DynInst) -> int:
         for idx, candidate in enumerate(self._old):
@@ -91,15 +84,6 @@ class OldQueue(RandomQueue):
     def select(self, fu_pool: "FunctionUnitPool", cycle: int) -> List[DynInst]:
         self._rearrange()
         return super().select(fu_pool, cycle)
-
-    @property
-    def quiescent(self) -> bool:
-        # select() also runs the mover, which has work (and bumps move
-        # counters) whenever the old queue has room and the main queue
-        # still holds instructions outside it.
-        return not self.ready and (
-            len(self._old) >= self.OLD_ENTRIES or self.occupancy == len(self._old)
-        )
 
     def remove(self, inst: DynInst) -> None:
         for idx, candidate in enumerate(self._old):

@@ -11,13 +11,10 @@ instructions are spread throughout a well-filled queue.
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
 from typing import List, Optional
 
 from repro.core.base import IssueQueue, insts_by_slot
 from repro.cpu.dyninst import DynInst
-
-_SLOT_KEY = attrgetter("iq_slot")
 
 
 class RandomQueue(IssueQueue):
@@ -53,13 +50,7 @@ class RandomQueue(IssueQueue):
 
     def ordered_ready(self) -> List[DynInst]:
         # Position-based select logic: lower slot = higher priority.
-        mask = self._ready_mask
-        if bin(mask).count("1") == len(self.ready):
-            return insts_by_slot(mask, self._slots)
-        # Ready set and matrix disagree (a fault injected an entry behind
-        # the matrix's back): fall back to the full scan so the corrupted
-        # entry still reaches the grant guards.
-        return sorted(self.ready, key=_SLOT_KEY)
+        return insts_by_slot(self._ready_mask, self._slots)
 
     def priority_rank(self, inst: DynInst) -> int:
         return inst.iq_slot

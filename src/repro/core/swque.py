@@ -146,23 +146,10 @@ class SwitchingQueue(IssueQueue):
         else:
             self.stats.cycles_in_age += 1
 
-    def tick_bulk(self, cycles: int) -> None:
-        self.stats.iq_occupancy_sum += self.occupancy * cycles
-        if self.mode == MODE_CIRC_PC:
-            self.stats.cycles_in_circ_pc += cycles
-        else:
-            self.stats.cycles_in_age += cycles
-
-    @property
-    def quiescent(self) -> bool:
-        # A pending mode switch keeps the pipeline busy (it must flush),
-        # so only an idle active sub-queue with no switch in flight is
-        # safe to skip.
-        return not self._pending_switch and self._active.quiescent
-
     def check_invariants(self) -> None:
-        """Base occupancy checks plus SWQUE mode-state consistency."""
+        """Base and active sub-queue checks plus SWQUE mode consistency."""
         super().check_invariants()
+        self._active.check_invariants()
         if self.mode not in (MODE_CIRC_PC, MODE_AGE):
             raise InvariantViolation(
                 "swque-mode", f"unknown mode label {self.mode!r}"

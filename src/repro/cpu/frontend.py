@@ -98,19 +98,6 @@ class FetchUnit:
                 return None
         return inst
 
-    def next_fetch_entry(self) -> Optional[TraceInstruction]:
-        """Side-effect-free peek at the next correct-path instruction.
-
-        Returns the entry only when it sits on the already-fetched I-cache
-        line, i.e. when :meth:`peek` would return it without touching the
-        cache.  Used by the fast engine's dead-cycle test; callers must
-        already have ruled out stall, wrong-path mode, and trace end.
-        """
-        inst = self.trace[self.fetch_seq]
-        if (inst.pc >> _LINE_SHIFT) != self._fetched_line:
-            return None
-        return inst
-
     def advance(self, cycle: int, inst: DynInst) -> bool:
         """Consume the peeked instruction; False ends this cycle's group."""
         if self.wrong_path_mode:

@@ -118,7 +118,6 @@ class Pipeline:
         oracle: Optional[GoldenModel] = None,
         watchdog_interval: Optional[int] = DEFAULT_WATCHDOG_INTERVAL,
         guards: Optional[str] = None,
-        fast: bool = False,
     ) -> None:
         if watchdog_interval is not None and watchdog_interval <= 0:
             raise ValueError(
@@ -159,15 +158,6 @@ class Pipeline:
             "full" if faults is not None else "sampled"
         )
         iq.guards = self.guards
-        #: Fast engine: event-driven fast-forward over provably dead
-        #: cycles (see :meth:`_fast_forward`).  Proven equivalent to the
-        #: reference engine; disabled while a fault injector is attached
-        #: because injected corruption can revive a "dead" cycle.
-        self.fast = bool(fast) and faults is None
-        #: Fast-engine observability: jumps taken and cycles skipped.
-        #: Host-side only — never part of stats, digests, or results.
-        self.ff_jumps = 0
-        self.ff_skipped_cycles = 0
         #: Always-on streaming fingerprint of the commit stream.
         self.commit_digest = CommitDigest()
         #: Forward-progress watchdog horizon in cycles (None disables).
@@ -295,8 +285,6 @@ class Pipeline:
         cycle = self.cycle
         if self.faults is not None:
             self.faults.on_cycle(self, cycle)
-        elif self.fast and self._fast_forward(cycle):
-            return
         profiler = self.profiler
         if profiler is not None and cycle % profiler.sample_every == 0:
             self._step_stages_timed(cycle, profiler)
@@ -363,127 +351,6 @@ class Pipeline:
         profiler.record("iq_tick", t5 - t4)
         profiler.record("guards", t6 - t5)
         profiler.sampled_cycles += 1
-
-    # -- fast engine ------------------------------------------------------------------
-
-    def _fast_forward(self, cycle: int) -> bool:
-        """Jump over a provably dead stretch of cycles; True if it did.
-
-        A cycle is *dead* when every stage is a no-op whose only effect is
-        bookkeeping this method can replay in bulk: no completion event is
-        due, no branch resolution is pending, the IQ is quiescent (nothing
-        ready, no pending RV grant / mode switch / mover work), the ROB
-        head is not completed, and dispatch is blocked by a hazard that
-        cannot clear on its own.  Nothing in the machine changes across
-        dead cycles, so the stretch up to the next *wake source* can be
-        skipped in one jump — provided the jump also stops at every cycle
-        where an observable side channel fires (telemetry interval close,
-        periodic snapshot, watchdog / near-stall horizon, run limit), so
-        that the normal step executes those cycles and the run stays
-        bit-identical to the reference engine.
-        """
-        # Cheapest, most-discriminating checks first: on a busy cycle the
-        # ready set is almost never empty, and that test is two attribute
-        # loads — where min() over the completion-event buckets is O(ROB).
-        iq = self.iq
-        if not iq.quiescent or iq.wants_flush:
-            return False
-        frontend = self.frontend
-        if frontend._resolved is not None:
-            return False
-        events = self._events
-        if events:
-            next_event = min(events)
-            if next_event <= cycle:
-                return False
-        else:
-            next_event = None
-        head = self.rob.head()
-        if head is not None and head.completed:
-            return False  # commit has work
-        # Dispatch must be provably dead, with at most one stall counter
-        # whose per-cycle increments this method bulk-accounts.
-        stall_attr = None
-        resume_cap = None
-        if frontend.stalled(cycle):
-            stall_attr = "fetch_stall_cycles"
-            resume_cap = frontend.resume_cycle
-        elif frontend.wrong_path_mode:
-            if self.config.wrong_path_fetch:
-                # peek() synthesizes junk (and consumes RNG state) every
-                # cycle in this mode; the cycle is never dead.
-                return False
-            # Stall-on-mispredict ablation: peek() returns None with no
-            # stall counter until the branch resolves (a completion event).
-        elif not frontend.has_more():
-            pass  # trace drained; remaining work is all in flight
-        else:
-            entry = frontend.next_fetch_entry()
-            if entry is None:
-                return False  # peek() would start an I-cache access
-            if self.rob.is_full:
-                stall_attr = "dispatch_stall_rob"
-            elif not iq.can_dispatch():
-                stall_attr = "dispatch_stall_iq"
-            elif entry.mem_addr is not None and self.lsq.is_full:
-                stall_attr = "dispatch_stall_lsq"
-            else:
-                # Replicate RenameUnit.can_rename without building the
-                # DynInst: only a register-file hazard leaves the cycle
-                # dead (anything else would dispatch).
-                dest = entry.dest
-                if dest is None:
-                    return False
-                if dest < 32:
-                    if self.rename.free_int > 0:
-                        return False
-                elif self.rename.free_fp > 0:
-                    return False
-                stall_attr = "dispatch_stall_regs"
-        # Earliest cycle at which anything can change or any side channel
-        # must observably fire: the jump target is their minimum.
-        caps = []
-        if next_event is not None:
-            caps.append(next_event)
-        if resume_cap is not None:
-            caps.append(resume_cap)
-        if self.watchdog_interval is not None:
-            caps.append(self._last_commit_cycle + self.watchdog_interval)
-            if self.telemetry is not None and not self._near_stall_noted:
-                caps.append(self._last_commit_cycle + self.watchdog_interval // 2)
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            caps.append(telemetry._next_sample)
-        if self.snapshot_sink is not None:
-            caps.append(self._next_snapshot_cycle)
-        if self._run_started:
-            caps.append(self._run_limit + 1)
-        if not caps:
-            return False  # nothing bounds the jump: machine is wedged
-        target = min(caps)
-        if target <= cycle + 1:
-            return False  # nothing to skip; run the cycle normally
-        # Skip cycles [cycle, target): execute none of their stages, but
-        # replay their bookkeeping in bulk.  The next normal step runs
-        # cycle ``target`` in full.
-        span = target - cycle
-        self.ff_jumps += 1
-        self.ff_skipped_cycles += span
-        self.cycle = target
-        self.stats.cycles += span
-        if stall_attr is not None:
-            setattr(self.stats, stall_attr, getattr(self.stats, stall_attr) + span)
-        iq.tick_bulk(span)
-        if telemetry is not None:
-            # Post-increment cycle numbers, as on_cycle sees them.
-            telemetry.on_cycle_bulk(cycle + 1, target, iq.occupancy)
-        if (
-            self.snapshot_sink is not None
-            and target >= self._next_snapshot_cycle
-        ):
-            self._next_snapshot_cycle = target + (self.snapshot_interval or 1)
-            self.snapshot_sink(self)
-        return True
 
     # -- invariant guards ------------------------------------------------------------
 

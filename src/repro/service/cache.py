@@ -91,9 +91,6 @@ def cache_key(job: SweepJob, version: str = __version__) -> str:
             f"profiles are content-addressable"
         )
     effective_seed = job.seed if job.seed is not None else workload.seed
-    # job.fast is deliberately NOT part of the address: the fast engine is
-    # proven bit-identical to the reference engine, so both may share one
-    # cached outcome (and a fast node can warm the cache for slow ones).
     payload = "|".join(
         str(part)
         for part in (

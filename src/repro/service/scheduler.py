@@ -158,7 +158,6 @@ def job_to_dict(job: SweepJob, priority: int = 0, tenant: str = "default") -> di
         "seed": job.seed,
         "max_cycles": job.max_cycles,
         "warmup_instructions": job.warmup_instructions,
-        "fast": job.fast,
         "priority": priority,
         "tenant": tenant,
     }
@@ -193,9 +192,6 @@ def job_from_dict(data: dict) -> SweepJob:
         value = data.get(budget)
         if value is not None and not isinstance(value, int):
             raise ValueError(f"{budget} must be an integer (or null)")
-    fast = data.get("fast", False)
-    if not isinstance(fast, bool):
-        raise ValueError("fast must be a boolean")
     return SweepJob(
         workload=workload,
         policy=data["policy"],
@@ -204,7 +200,6 @@ def job_from_dict(data: dict) -> SweepJob:
         seed=data.get("seed"),
         max_cycles=data.get("max_cycles"),
         warmup_instructions=data.get("warmup_instructions"),
-        fast=fast,
     )
 
 

@@ -13,11 +13,12 @@ handle:
     partial stats.
 ``corrupt-ready``
     Set the "ready bit" of an instruction whose operands are still
-    pending (append it to the ready set).  The issue-stage guard catches
-    it as an ``issue-unready`` invariant violation.
+    pending (wake it up early).  The issue-stage guard catches it as an
+    ``issue-unready`` invariant violation.
 ``readd-issued``
-    Re-insert an already-issued, not-yet-completed instruction into the
-    ready set; the ``double-issue`` guard must fire.
+    Re-dispatch and wake up an already-issued, not-yet-completed
+    instruction, leaving it marked issued; the ``double-issue`` guard
+    must fire.
 ``force-switch``
     (see below)
 
@@ -194,7 +195,15 @@ class FaultInjector:
         iq.mode = MODE_AGE if iq.mode == MODE_CIRC_PC else MODE_CIRC_PC
 
     def _corrupt_ready(self, pipeline: "Pipeline", want_pending: bool) -> None:
-        """Flip a "ready bit": push an ineligible instruction into the set."""
+        """Flip a "ready bit": wake up an ineligible instruction.
+
+        The corruption goes through the queue's own API, so the ready set
+        and the queue's ready matrix stay in step and the victim reaches
+        select (and the grant guards) like any ready instruction.
+        """
+        iq = pipeline.iq
+        if not want_pending and not iq.can_dispatch():
+            return  # readd-issued: retry when the queue has room
         for inst in pipeline.rob:
             if inst.squashed:
                 continue
@@ -205,7 +214,9 @@ class FaultInjector:
             if eligible:
                 self.fired += 1
                 self._note_fired(pipeline, victim_seq=inst.seq)
-                pipeline.iq.ready.append(inst)
+                if not want_pending:
+                    iq.dispatch(inst)
+                iq.wakeup(inst)
                 return
         # No victim this cycle; stay armed and retry next cycle.
 

@@ -111,8 +111,6 @@ class SweepJob:
     warmup_instructions: Optional[int] = None
     #: Chaos testing: inject this fault into the run (picklable spec).
     fault: Optional[FaultSpec] = None
-    #: Run on the fast engine (proven equivalent; see Pipeline._fast_forward).
-    fast: bool = False
 
     @property
     def workload_name(self) -> str:
@@ -123,14 +121,10 @@ class SweepJob:
     @property
     def key(self) -> str:
         """Stable cell identity — the checkpoint/resume join key."""
-        key = (
+        return (
             f"{self.workload_name}|{self.policy}|{self.config.name}"
             f"|n={self.num_instructions}|seed={self.seed}"
         )
-        # Appended only when set, so pre-fast checkpoint keys stay valid.
-        if self.fast:
-            key += "|fast"
-        return key
 
 
 def make_grid(
@@ -141,7 +135,6 @@ def make_grid(
     seed: Optional[int] = None,
     max_cycles: Optional[int] = None,
     warmup_instructions: Optional[int] = None,
-    fast: bool = False,
 ) -> List[SweepJob]:
     """The full cross product as a job list, workload-major order."""
     return [
@@ -153,7 +146,6 @@ def make_grid(
             seed=seed,
             max_cycles=max_cycles,
             warmup_instructions=warmup_instructions,
-            fast=fast,
         )
         for w in workloads
         for c in configs
@@ -230,7 +222,6 @@ def _run_job(
         faults=job.fault,
         failure_snapshot_dir=snapshot_dir,
         telemetry=telemetry_dir is not None,
-        fast=job.fast,
     )
     if telemetry_dir is not None and result.telemetry is not None:
         from repro.telemetry.export import export_run

@@ -137,7 +137,6 @@ def simulate(
     snapshot_dir: Optional[Union[str, Path]] = None,
     failure_snapshot_dir: Optional[Union[str, Path]] = None,
     telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
-    fast: bool = False,
 ) -> SimResult:
     """Run one workload under one IQ policy and return the result.
 
@@ -167,11 +166,6 @@ def simulate(
     a prepared :class:`~repro.telemetry.Telemetry` sink.  The sink comes
     back on ``result.telemetry`` (and on ``exc.telemetry`` when the run
     fails), ready for :func:`repro.telemetry.export_run`.
-
-    ``fast`` enables the fast engine: event-driven fast-forward over
-    provably dead cycles (see ``Pipeline._fast_forward``).  Results,
-    telemetry, and snapshots are bit-identical to the reference engine;
-    the flag is ignored while a fault injector is attached.
     """
     if not isinstance(workload, Trace) and num_instructions <= 0:
         raise ValueError(
@@ -208,7 +202,6 @@ def simulate(
         faults=faults,
         oracle=GoldenModel(trace) if verify else None,
         watchdog_interval=watchdog_interval,
-        fast=fast,
     )
     pipeline.run_provenance = {
         "workload": trace.name or "custom",

@@ -216,32 +216,6 @@ class Telemetry:
         if cycle >= self._next_sample:
             self._close_interval(cycle)
 
-    def on_cycle_bulk(self, first_cycle: int, last_cycle: int, occupancy: int) -> None:
-        """Equivalent of :meth:`on_cycle` for ``first_cycle..last_cycle``
-        inclusive, with ``occupancy`` (and every stats counter) constant
-        across the span.
-
-        Used by the fast engine when it skips dead cycles.  The caller
-        guarantees ``last_cycle <= _next_sample``, so at most one interval
-        closes -- at the bulk end, exactly where per-cycle calls would have
-        closed it -- and the series stays bit-identical.  The warmup-reset
-        check runs once: committed does not change inside a dead span, so
-        either every per-cycle call would have rebaselined on the first
-        cycle or none would.
-        """
-        if not self.enabled:
-            return
-        if self._stats.committed < self._base["committed"]:
-            self._rebaseline(first_cycle - 1)
-            self.event(EV_WARMUP_RESET, cycle=first_cycle, category="sim")
-        span = last_cycle - first_cycle + 1
-        self._occ_sum += occupancy * span
-        self._hist[
-            min(occupancy // self._bucket_width, len(self._hist) - 1)
-        ] += span
-        if last_cycle >= self._next_sample:
-            self._close_interval(last_cycle)
-
     def _close_interval(self, cycle: int) -> None:
         stats, base = self._stats, self._base
         current = stats.capture()

@@ -109,22 +109,24 @@ class ThroughputResult:
     instructions_per_sec: float
     ipc: float
     telemetry_enabled: bool
-    #: Which execution engine produced the measurement.
-    engine: str = "reference"
     #: Per-stage wall-time shares (empty unless stage profiling was on).
     stage_shares: Dict[str, float] = field(default_factory=dict)
 
     @property
     def cell_key(self) -> str:
-        """The (config, policy, engine) trajectory-cell identity."""
-        return f"{self.config}/{self.policy}/{self.engine}"
+        """The (config, policy) trajectory-cell identity.
+
+        The ``/reference`` suffix names the simulator's one engine; it
+        keeps the keys of earlier ``BENCH_swque.json`` documents, and so
+        their regression gates and history, comparable.
+        """
+        return f"{self.config}/{self.policy}/reference"
 
     def as_dict(self) -> dict:
         payload = {
             "workload": self.workload,
             "policy": self.policy,
             "config": self.config,
-            "engine": self.engine,
             "num_instructions": self.num_instructions,
             "cycles": self.cycles,
             "seconds": round(self.seconds, 4),
@@ -151,7 +153,6 @@ def measure_throughput(
     telemetry: Optional[Telemetry] = None,
     profile_stages: bool = False,
     repeats: int = 1,
-    fast: bool = False,
 ) -> ThroughputResult:
     """Time ``repeats`` full simulations; report the fastest.
 
@@ -173,7 +174,7 @@ def measure_throughput(
     for _ in range(repeats):
         stats = PipelineStats()
         iq = build_issue_queue(policy, config, stats=stats, trace=trace)
-        pipeline = Pipeline(trace, config, iq, stats=stats, fast=fast)
+        pipeline = Pipeline(trace, config, iq, stats=stats)
         profiler = StageProfiler() if profile_stages else None
         pipeline.profiler = profiler
         run_telemetry = telemetry
@@ -195,7 +196,6 @@ def measure_throughput(
             instructions_per_sec=stats.committed / seconds if seconds > 0 else 0.0,
             ipc=stats.ipc,
             telemetry_enabled=run_telemetry is not None and run_telemetry.enabled,
-            engine="fast" if fast else "reference",
             stage_shares=profiler.shares() if profiler is not None else {},
         )
         if best is None or result.cycles_per_sec > best.cycles_per_sec:
@@ -263,14 +263,6 @@ def bench_payload(
         payload["cells"] = {
             key: result.as_dict() for key, result in sorted(cells.items())
         }
-        fast_key = baseline.cell_key.rsplit("/", 1)[0] + "/fast"
-        fast = cells.get(fast_key)
-        if fast is not None:
-            payload["fast_cycles_per_sec"] = round(fast.cycles_per_sec, 1)
-            if baseline.cycles_per_sec > 0:
-                payload["fast_speedup"] = round(
-                    fast.cycles_per_sec / baseline.cycles_per_sec, 3
-                )
         entry = {
             "recorded_at": recorded_at,
             "smoke": smoke,

@@ -116,11 +116,6 @@ def replay(
     if not isinstance(snapshot, Snapshot):
         snapshot = load_snapshot(snapshot)
     pipeline = snapshot.pipeline
-    # Replay promises one trace line per simulated cycle; pin the restored
-    # pipeline to the reference engine so a fast-engine snapshot does not
-    # fast-forward through the window under the microscope.  The engines
-    # are bit-identical, so the observed failure/commit stream is unchanged.
-    pipeline.fast = False
     if telemetry and getattr(pipeline, "telemetry", None) is None:
         Telemetry(TelemetryConfig(interval=telemetry_interval)).attach(pipeline)
     if trace:

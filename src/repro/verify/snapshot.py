@@ -48,7 +48,9 @@ _MAGIC = b"SWQSNAP"
 #: v2: the pipeline payload gained telemetry state (the attached
 #: :class:`repro.telemetry.Telemetry` sink travels with the snapshot so
 #: a resumed run keeps its interval alignment).
-SNAPSHOT_VERSION = 2
+#: v3: the pickled pipeline lost the three attributes of the removed
+#: dead-cycle fast-forward engine.
+SNAPSHOT_VERSION = 3
 
 #: File suffix convention for snapshot artifacts.
 SNAPSHOT_SUFFIX = ".snap"

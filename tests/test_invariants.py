@@ -1,31 +1,66 @@
-"""Chaos tests: fault injection must trip the always-on invariant guards."""
+"""Chaos tests: fault injection must trip the always-on invariant guards.
+
+Also the guard layer's own contract: its modes (``full`` / ``sampled`` /
+``off``) validate and default correctly, sampled guards still catch
+persistent corruption, and the checks are side-effect free, so every
+mode gives bit-identical results for every policy.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import MEDIUM
-from repro.core.base import InvariantViolation
-from repro.core.factory import build_issue_queue
+from repro.config import MEDIUM, SMALL, get_config
+from repro.core.base import GUARD_SAMPLE_PERIOD, InvariantViolation
+from repro.core.factory import IQ_POLICIES, build_issue_queue
 from repro.core.swque import MODE_AGE, MODE_CIRC_PC, SwitchingQueue
 from repro.cpu.pipeline import Pipeline, SimulationDiverged
 from repro.cpu.stats import PipelineStats
 from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultSpec, InjectedFault
 from repro.sim.simulator import simulate
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec2017 import get_profile
 
 N = 3000
 
 
-def build_pipeline(policy="age", n=N, guards="full"):
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.spec2017 import get_profile
-
-    trace = generate_trace(get_profile("exchange2"), n)
+def build_pipeline(policy="age", n=N, guards="full", workload="exchange2",
+                   config=MEDIUM, **kwargs):
+    # Full guards by default: these tests corrupt state and expect
+    # detection on the very next cycle, which sampled guards
+    # deliberately do not promise.  ``guards=None`` picks the default.
+    trace = generate_trace(get_profile(workload), n)
     stats = PipelineStats()
-    iq = build_issue_queue(policy, MEDIUM, stats=stats, trace=trace)
-    # Full guards: these tests corrupt state and expect detection on the
-    # very next cycle, which sampled guards deliberately do not promise.
-    return Pipeline(trace, MEDIUM, iq, stats=stats, guards=guards)
+    iq = build_issue_queue(policy, config, stats=stats, trace=trace)
+    return Pipeline(trace, config, iq, stats=stats, guards=guards, **kwargs)
+
+
+def guarded_run(policy, workload, guards, n=2500, seed=None, config=MEDIUM):
+    """One telemetry-attached run under one guard mode; telemetry makes
+    the comparison stricter (interval samples and event cycles must line
+    up, not just totals)."""
+    trace = generate_trace(get_profile(workload), n, seed=seed)
+    stats = PipelineStats()
+    iq = build_issue_queue(policy, config, stats=stats, trace=trace)
+    pipeline = Pipeline(trace, config, iq, stats=stats, guards=guards)
+    Telemetry(TelemetryConfig(interval=500)).attach(pipeline)
+    pipeline.run(warmup_instructions=0)
+    return pipeline
+
+
+def assert_bit_identical(a, b):
+    assert a.cycle == b.cycle
+    assert a.commit_digest.hexdigest() == b.commit_digest.hexdigest()
+    assert a.stats.as_dict() == b.stats.as_dict()
+    assert [s.as_dict() for s in a.telemetry.samples] == [
+        s.as_dict() for s in b.telemetry.samples
+    ]
+    assert [e.as_dict() for e in a.telemetry.events] == [
+        e.as_dict() for e in b.telemetry.events
+    ]
 
 
 class TestFaultSpec:
@@ -146,6 +181,20 @@ class TestGuardLayer:
             self.run_until_violation(pipeline)
         assert excinfo.value.check == "commit-order"
 
+    @pytest.mark.parametrize("policy", ["rand", "age", "circ", "circ-pc",
+                                        "oldq", "swque"])
+    def test_ready_list_written_behind_the_queue_trips_ready_mask(self, policy):
+        # The ready matrix is the only source of select order; an entry
+        # appended to the list directly would never issue, so the guard
+        # must report the desync instead of the run silently stalling.
+        pipeline = build_pipeline(policy)
+        for _ in range(50):
+            pipeline.step()
+        pipeline.iq.ready.append(pipeline.rob.head())
+        with pytest.raises(InvariantViolation) as excinfo:
+            pipeline.step()
+        assert excinfo.value.check == "iq-ready-mask"
+
     def test_swque_mode_label_corruption(self):
         stats = PipelineStats()
         iq = SwitchingQueue(32, 4, stats=stats)
@@ -168,3 +217,86 @@ class TestGuardLayer:
         result = simulate("exchange2", "swque", num_instructions=N,
                           warmup_instructions=0)
         assert result.stats.committed == N
+
+
+class TestGuardModes:
+    def test_invalid_guard_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="guards"):
+            build_pipeline(guards="paranoid")
+
+    def test_default_is_sampled_without_faults(self):
+        pipeline = build_pipeline(guards=None)
+        assert pipeline.guards == "sampled"
+        assert pipeline.iq.guards == "sampled"
+
+    def test_default_is_full_with_faults(self):
+        pipeline = build_pipeline(
+            guards=None,
+            faults=FaultInjector(FaultSpec("crash", at_cycle=10**9)),
+        )
+        assert pipeline.guards == "full"
+        assert pipeline.iq.guards == "full"
+
+    def test_explicit_guards_propagate_to_swque_subqueues(self):
+        pipeline = build_pipeline(policy="swque", guards="off")
+        iq = pipeline.iq
+        assert iq.guards == "off"
+        assert iq._circ_pc.guards == "off"
+        assert iq._age.guards == "off"
+
+    def test_guard_mode_does_not_change_results(self):
+        digests = set()
+        for guards in ("full", "sampled", "off"):
+            pipeline = build_pipeline(policy="swque", guards=guards)
+            pipeline.run(warmup_instructions=0)
+            digests.add(pipeline.commit_digest.hexdigest())
+        assert len(digests) == 1
+
+    def test_sampled_guards_catch_persistent_corruption(self):
+        # Sampled mode trades latency, not coverage: corruption that
+        # persists must still trip within one sample period.
+        pipeline = build_pipeline(guards="sampled")
+        for _ in range(50):
+            pipeline.step()
+        pipeline.iq.occupancy = pipeline.iq.size + 3
+        with pytest.raises(InvariantViolation) as excinfo:
+            for _ in range(2 * GUARD_SAMPLE_PERIOD):
+                pipeline.step()
+        assert excinfo.value.check == "iq-occupancy"
+
+
+class TestGuardModesBitIdentical:
+    """Full guards run every check every cycle; sampled ones 1 in 64.
+    Both must leave every policy's run bit for bit the same."""
+
+    @pytest.mark.parametrize("workload", ["exchange2", "nab"])
+    @pytest.mark.parametrize("policy", IQ_POLICIES)
+    def test_full_matches_sampled(self, policy, workload):
+        assert_bit_identical(
+            guarded_run(policy, workload, "full"),
+            guarded_run(policy, workload, "sampled"),
+        )
+
+    def test_full_matches_sampled_on_small_config(self):
+        full = guarded_run("swque", "mcf", "full", config=SMALL)
+        sampled = guarded_run("swque", "mcf", "sampled", config=SMALL)
+        assert full.config.name == "small" == sampled.config.name
+        assert_bit_identical(full, sampled)
+
+    def test_small_config_is_registered(self):
+        assert get_config("small") is SMALL
+        assert SMALL.iq_entries < MEDIUM.iq_entries
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    policy=st.sampled_from(IQ_POLICIES),
+    workload=st.sampled_from(["exchange2", "nab", "mcf"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_guard_modes_bit_identical_property(policy, workload, seed):
+    """Property form of the contract: any (policy, workload, seed)."""
+    assert_bit_identical(
+        guarded_run(policy, workload, "full", n=1500, seed=seed),
+        guarded_run(policy, workload, "sampled", n=1500, seed=seed),
+    )

@@ -139,6 +139,15 @@ class TestBranchHandling:
 
 
 class TestRecoveryAndLimits:
+    def test_there_is_no_engine_option(self):
+        # One cycle engine: callers probing for the removed fast-forward
+        # option get a TypeError and fall back to the plain constructor.
+        trace = Trace([alu(0)])
+        stats = PipelineStats()
+        iq = build_issue_queue("age", MEDIUM, stats=stats)
+        with pytest.raises(TypeError):
+            Pipeline(trace, MEDIUM, iq, stats=stats, fast=True)
+
     def test_divergence_guard(self):
         pl = build_pipeline([alu(i, dest=1, srcs=(1,)) for i in range(50)])
         with pytest.raises(SimulationDiverged):

@@ -240,6 +240,30 @@ class TestJournalRecovery:
         finally:
             scheduler.shutdown()
 
+    def test_accept_written_with_the_old_fast_flag_recovers_and_runs(
+        self, tmp_path
+    ):
+        # Earlier builds wrote the removed engine switch into every job
+        # dict (``"fast": false``); such a journal must still replay.
+        wal = tmp_path / "jobs.wal"
+        wal.write_text(
+            '{"op": "accept", "id": "jold-000001", "job": {"workload": '
+            '"exchange2", "policy": "age", "config": "medium", '
+            '"num_instructions": 2500, "seed": null, "max_cycles": null, '
+            '"warmup_instructions": null, "fast": false, "priority": 0, '
+            '"tenant": "default"}, "priority": 0, "tenant": "default"}\n'
+        )
+        scheduler = JobScheduler(workers=1, journal=JobJournal(wal),
+                                 pool="thread")
+        try:
+            summary = scheduler.recover_journal()
+            assert summary == {"recovered": 1, "quarantined": 0,
+                               "torn": 0, "skipped": 0}
+            assert scheduler.drain(timeout=120.0)
+            assert scheduler.metrics()["completed"] == 1
+        finally:
+            scheduler.shutdown()
+
     def test_quarantine_tombstone_is_not_resurrected(self, tmp_path):
         wal = tmp_path / "jobs.wal"
         journal = JobJournal(wal)

@@ -66,6 +66,32 @@ class TestIntakeAndClaim:
         assert record["state"] == "done"
         assert fe.read_result(entry.id)["result"] == {"ok": 1}
 
+    def test_job_record_with_the_old_fast_flag_claims_and_runs(
+        self, tmp_path, clock
+    ):
+        # A segment written by an earlier build carries the removed
+        # engine switch (``"fast": false``) in its job dict.
+        from repro.service.scheduler import job_from_dict
+        from repro.sim.harness import _run_job
+
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        (segments / "seg-old.jsonl").write_text(
+            '{"op": "job", "schema": 1, "id": "jold-000001", "job": '
+            '{"workload": "exchange2", "policy": "age", "config": "medium", '
+            '"num_instructions": 2500, "seed": null, "max_cycles": null, '
+            '"warmup_instructions": null, "fast": false, "priority": 0, '
+            '"tenant": "default"}, "priority": 0, "tenant": "default", '
+            '"token": null, "key": null, "submitted_at": 1000.0}\n'
+        )
+        worker = make_queue(tmp_path, clock, "w1")
+        claimed, claim = worker.claim_next()
+        assert claimed.id == "jold-000001"
+        result = _run_job(job_from_dict(dict(claimed.job)))
+        assert result.stats.committed > 0
+        assert worker.commit(claim, {"ok": 1}) == "committed"
+        assert worker.lookup(claimed.id)["state"] == "done"
+
     def test_priority_order_then_fifo(self, tmp_path, clock):
         fe = make_queue(tmp_path, clock, "fe")
         low = fe.append(dict(JOB), priority=0)

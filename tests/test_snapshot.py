@@ -118,18 +118,31 @@ class TestCorruptionDetection:
         with pytest.raises(SnapshotError, match="checksum"):
             load_snapshot(snap_path)
 
-    def test_unknown_version_is_rejected(self, snap_path):
+    @staticmethod
+    def restamp(snap_path, version):
         data = snap_path.read_bytes()
         newline = data.index(b"\n")
         header_end = data.index(b"\n", newline + 1)
         header = json.loads(data[newline + 1:header_end])
-        header["version"] = SNAPSHOT_VERSION + 1
+        header["version"] = version
         snap_path.write_bytes(
             data[:newline + 1]
             + json.dumps(header, sort_keys=True).encode() + b"\n"
             + data[header_end + 1:]
         )
+
+    def test_unknown_version_is_rejected(self, snap_path):
+        self.restamp(snap_path, SNAPSHOT_VERSION + 1)
         with pytest.raises(SnapshotVersionError, match="version"):
+            load_snapshot(snap_path)
+
+    def test_v2_snapshot_is_rejected_with_a_clear_error(self, snap_path):
+        # v2 pickles carried the removed fast-forward engine's state; the
+        # header gate refuses them before anything is unpickled.
+        assert SNAPSHOT_VERSION == 3
+        self.restamp(snap_path, 2)
+        with pytest.raises(SnapshotVersionError,
+                           match="version 2 is not supported.*re-record"):
             load_snapshot(snap_path)
 
     def test_missing_file(self, tmp_path):
