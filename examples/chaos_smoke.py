@@ -4,12 +4,12 @@
 Three phases against real ``python -m repro`` subprocesses:
 
 1. **Worker kill** — submit a batch to a single-node server, SIGKILL
-   one worker process mid-batch (pids come from ``/metricsz``), and
-   assert that every job still completes and ``/metricsz`` reports
-   >= 1 worker restart.
+   one worker process of its in-process node mid-batch (pids come from
+   ``/metricsz``), and assert that every job still completes and
+   ``/metricsz`` reports >= 1 worker restart.
 2. **Server kill** — submit a fresh batch, SIGKILL the *server* before
-   it can finish, restart it on the same cache/WAL directory, and
-   assert the write-ahead journal recovers the accepted jobs: after the
+   it can finish, restart it on the same cache directory, and assert
+   its private durable queue recovers the accepted jobs: after the
    restarted server drains, resubmitting the identical specs is served
    entirely from the cache (completed) or reported quarantined —
    nothing silently lost.
@@ -103,7 +103,7 @@ def submit(client: ServiceClient, batch) -> list:
 def phase1_worker_kill(client: ServiceClient) -> None:
     print("phase 1: SIGKILL one worker mid-batch")
     ids = submit(client, PHASE1_BATCH)
-    pids = client.metricsz()["scheduler"]["worker_pids"]
+    pids = client.metricsz()["node"]["worker_pids"]
     victim = pids[0]
     print(f"  killing worker pid={victim} (pool: {pids})")
     os.kill(victim, signal.SIGKILL)
@@ -114,7 +114,7 @@ def phase1_worker_kill(client: ServiceClient) -> None:
             raise SystemExit(
                 f"FAIL: job {job_id} ended {state!r} after the worker kill"
             )
-    pool = client.metricsz()["scheduler"]["worker_pool"]
+    pool = client.metricsz()["node"]["pool"]
     print(f"  all {len(ids)} jobs completed; "
           f"restarts={pool['worker_restarts']} alive={pool['alive']}")
     if pool["worker_restarts"] < 1:
@@ -125,10 +125,10 @@ def phase1_worker_kill(client: ServiceClient) -> None:
 
 def phase2_server_kill(proc: subprocess.Popen, client: ServiceClient,
                        cache_dir: str) -> "tuple[subprocess.Popen, ServiceClient]":
-    print("phase 2: SIGKILL the server mid-batch, recover from the WAL")
+    print("phase 2: SIGKILL the server mid-batch, recover from its queue")
     accepted = submit(client, PHASE2_BATCH)
     print(f"  accepted {len(accepted)} jobs; killing server pid={proc.pid}")
-    proc.kill()  # SIGKILL: no drain, no spill — only the WAL survives
+    proc.kill()  # SIGKILL: no drain — only the durable queue survives
     proc.wait(timeout=30)
     proc, client = start_server(cache_dir)
     health = client.healthz()
@@ -136,8 +136,8 @@ def phase2_server_kill(proc: subprocess.Popen, client: ServiceClient,
     # Wait for the recovered backlog to drain.
     deadline = time.monotonic() + 600.0
     while time.monotonic() < deadline:
-        scheduler = client.metricsz()["scheduler"]
-        if scheduler["queued"] == 0 and scheduler["running"] == 0:
+        queue = client.metricsz()["queue"]
+        if queue["pending"] == 0 and queue["running"] == 0:
             break
         time.sleep(0.5)
     else:
@@ -160,8 +160,8 @@ def phase2_server_kill(proc: subprocess.Popen, client: ServiceClient,
             f"FAIL: {len(unfinished)} accepted job(s) were lost across the "
             f"crash (not cached, not quarantined): {unfinished}"
         )
-    wal_pending = client.healthz().get("wal_pending")
-    print(f"  every accepted job accounted for; wal_pending={wal_pending}")
+    pending = client.healthz()["queue_depth"]
+    print(f"  every accepted job accounted for; queue_depth={pending}")
     return proc, client
 
 

@@ -23,8 +23,9 @@ Public surface:
   tracing with Chrome/Perfetto export, and simulator-throughput
   profiling.
 * :mod:`repro.service` -- simulation-as-a-service: content-addressed
-  result cache, priority job scheduler with single-flight dedup and
-  backpressure, and the ``python -m repro serve`` HTTP API.
+  result cache and admission control in front of a durable job queue
+  with single-flight dedup, run by supervised worker nodes, and the
+  ``python -m repro serve`` HTTP API.
 """
 
 from repro._version import __version__

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from repro.config import LARGE, MEDIUM
@@ -166,39 +167,53 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay telemetry sampling interval "
                              "(default 500: full-resolution for short windows)")
 
+    # Flags of a worker node: 'repro work', and the in-process node of
+    # 'repro serve' (a fleet of one).
+    node = argparse.ArgumentParser(add_help=False)
+    node.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
+                      help="content-addressed result store (default "
+                           "./.repro-cache); 'none' disables caching")
+    node.add_argument("--workers", type=int, default=2,
+                      help="supervised worker processes, restarted on "
+                           "crash/hang (default 2)")
+    node.add_argument("--lease", type=float, default=10.0, metavar="SECONDS",
+                      help="lease duration; a node silent this long is "
+                           "presumed dead and its jobs are reclaimed at "
+                           "the next fencing epoch (default 10)")
+    node.add_argument("--max-job-crashes", type=int, default=2, metavar="K",
+                      help="worker losses one job may cause before it is "
+                           "quarantined as poison (default 2)")
+    node.add_argument("--timeout", type=float, default=None,
+                      metavar="SECONDS",
+                      help="per-job wall-clock budget; an overrunning "
+                           "worker is killed")
+    node.add_argument("--heartbeat-timeout", type=float, default=10.0,
+                      metavar="SECONDS",
+                      help="heartbeat staleness before a worker is "
+                           "declared hung and killed (default 10)")
+    node.add_argument("--retries", type=int, default=1,
+                      help="transient-failure retries per job (default 1)")
+    node.add_argument("--drain-timeout", type=float, default=30.0,
+                      metavar="SECONDS",
+                      help="on SIGINT/SIGTERM, keep working for up to this "
+                           "long, then release unfinished leases to the "
+                           "durable queue with no crash charge (default 30)")
+
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[node],
         help="simulation-as-a-service: HTTP API with a content-addressed "
-             "result cache and a priority job scheduler",
+             "result cache over a durable job queue, run by an in-process "
+             "worker node (or by 'repro work' nodes with --queue-dir)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642,
                        help="listen port (default 8642; 0 = ephemeral)")
-    serve.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                       help="content-addressed result store (default "
-                            "./.repro-cache); 'none' disables caching")
     serve.add_argument("--cache-max-mb", type=int, default=64,
                        help="cache size bound in MiB; least-recently-used "
                             "entries are evicted beyond it (default 64)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="scheduler workers (default 2)")
-    serve.add_argument("--pool", choices=["process", "thread"],
-                       default="process",
-                       help="worker pool: 'process' runs supervised, "
-                            "heartbeat-monitored worker processes that "
-                            "restart on crash/hang (default); 'thread' "
-                            "keeps the in-process PR-4 workers")
     serve.add_argument("--backlog", type=int, default=64,
-                       help="max queued jobs before submissions are "
+                       help="max unclaimed jobs before submissions are "
                             "rejected with 429 (default 64)")
-    serve.add_argument("--max-job-crashes", type=int, default=2,
-                       metavar="K",
-                       help="worker losses one job may cause before it is "
-                            "quarantined as poison (default 2)")
-    serve.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="heartbeat staleness before a worker is "
-                            "declared hung and killed (default 10)")
     serve.add_argument("--quota-rate", type=float, default=None,
                        metavar="PER_SEC",
                        help="per-tenant admission quota in jobs/second "
@@ -206,33 +221,15 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quota-burst", type=float, default=10.0,
                        help="per-tenant token-bucket burst size "
                             "(default 10; used with --quota-rate)")
-    serve.add_argument("--executor", choices=["inline", "process"],
-                       default="process",
-                       help="per-job execution: 'process' isolates each "
-                            "job and enforces --timeout (default); "
-                            "'inline' runs in the worker thread")
-    serve.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-job wall-clock budget (process executor)")
-    serve.add_argument("--retries", type=int, default=1,
-                       help="transient-failure retries per job (default 1)")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="on shutdown, finish accepted jobs for up to "
-                            "this long; the rest spill to the cache dir "
-                            "as retryable (default 30)")
     serve.add_argument("--queue-dir", default=None, metavar="DIR",
                        help="fleet mode: run as a *stateless* frontend "
-                            "that appends accepted jobs to this shared "
-                            "durable queue directory; execution happens "
-                            "on 'repro work' nodes sharing it (disables "
-                            "the in-process scheduler/pool options)")
-    serve.add_argument("--lease", type=float, default=None, metavar="SECONDS",
-                       help="fleet mode: queue lease duration "
-                            "(default 10)")
+                            "over this shared durable queue directory; "
+                            "execution happens on 'repro work' nodes "
+                            "sharing it (default: an in-process node over "
+                            "the private queue <cache-dir>/queue)")
 
     work = sub.add_parser(
-        "work",
+        "work", parents=[node],
         help="run one fleet worker node: pulls jobs from a shared "
              "--queue-dir under leases with fencing epochs and commits "
              "results exactly once",
@@ -241,39 +238,20 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="the shared durable queue directory "
                            "(same one the 'serve --queue-dir' "
                            "frontends append to)")
-    work.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                      help="shared content-addressed result store "
-                           "(default ./.repro-cache); 'none' disables")
-    work.add_argument("--workers", type=int, default=2,
-                      help="supervised worker processes (default 2)")
     work.add_argument("--node-id", default=None,
                       help="stable node name in the registry "
                            "(default: a random worker-<hex> id)")
-    work.add_argument("--lease", type=float, default=10.0, metavar="SECONDS",
-                      help="lease duration; a node silent this long is "
-                           "presumed dead and its jobs are reclaimed at "
-                           "the next fencing epoch (default 10)")
-    work.add_argument("--max-job-crashes", type=int, default=2, metavar="K",
-                      help="fleet-wide worker losses one job may cause "
-                           "before it is quarantined as poison "
-                           "(default 2)")
-    work.add_argument("--timeout", type=float, default=None,
-                      metavar="SECONDS",
-                      help="per-job wall-clock budget")
-    work.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                      metavar="SECONDS",
-                      help="local worker-process heartbeat staleness "
-                           "before it is declared hung (default 10)")
-    work.add_argument("--retries", type=int, default=1,
-                      help="transient-failure retries per job (default 1)")
-    work.add_argument("--drain-timeout", type=float, default=30.0,
-                      metavar="SECONDS",
-                      help="on SIGINT/SIGTERM, finish in-flight jobs for "
-                           "up to this long, then release their leases "
-                           "for requeue (default 30)")
 
     sub.add_parser("list", help="list workloads and policies")
     return parser
+
+
+def _sigterm_as_interrupt() -> None:
+    """Make SIGTERM end a foreground ``serve``/``work`` like Ctrl-C."""
+    def _term(signum, frame):
+        raise KeyboardInterrupt(f"signal {signum}")
+
+    signal.signal(signal.SIGTERM, _term)
 
 
 def main(argv=None) -> int:
@@ -445,7 +423,7 @@ def main(argv=None) -> int:
                 progress["failed"] += 1
             stats = result.stats if result.ok else result.partial_stats
             if stats is not None:
-                meter.add(stats.cycles, stats.committed)
+                meter.add(stats.cycles)
             print(
                 f"[{progress['done']}/{total}] {result.summary()}",
                 flush=True,
@@ -490,54 +468,49 @@ def main(argv=None) -> int:
         from repro.service import ReproService
 
         cache_dir = None if args.cache_dir == "none" else args.cache_dir
-        service = ReproService(
-            host=args.host,
-            port=args.port,
-            cache_dir=cache_dir,
-            cache_max_bytes=args.cache_max_mb * 1024 * 1024,
-            workers=args.workers,
-            max_backlog=args.backlog,
-            executor=args.executor,
-            timeout=args.timeout,
-            retries=args.retries,
-            pool=args.pool,
-            max_job_crashes=args.max_job_crashes,
-            heartbeat_timeout=args.heartbeat_timeout,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            queue_dir=args.queue_dir,
-            lease_seconds=args.lease,
-        )
+        try:
+            service = ReproService(
+                host=args.host,
+                port=args.port,
+                cache_dir=cache_dir,
+                cache_max_bytes=args.cache_max_mb * 1024 * 1024,
+                workers=args.workers,
+                max_backlog=args.backlog,
+                timeout=args.timeout,
+                retries=args.retries,
+                max_job_crashes=args.max_job_crashes,
+                heartbeat_timeout=args.heartbeat_timeout,
+                quota_rate=args.quota_rate,
+                quota_burst=args.quota_burst,
+                queue_dir=args.queue_dir,
+                lease_seconds=args.lease,
+            )
+        except RuntimeError as exc:  # the private queue is in use
+            print(f"repro serve: {exc}", file=sys.stderr)
+            return 1
         host, port = service.address
         print(f"repro serve: listening on http://{host}:{port}", flush=True)
         if service.recovered:
-            print(f"  recovered {service.recovered} unfinished job(s) from "
-                  f"the journal/spill of a previous run", flush=True)
-        if args.queue_dir is not None:
-            print(f"  fleet frontend: queue {args.queue_dir}  "
-                  f"cache: {cache_dir or 'disabled'}  "
-                  f"backlog: {args.backlog}", flush=True)
-        else:
-            quota = (f"{args.quota_rate:g}/s" if args.quota_rate is not None
-                     else "unlimited")
-            print(f"  cache: {cache_dir or 'disabled'}  pool: {args.pool}  "
-                  f"workers: {args.workers}  backlog: {args.backlog}  "
-                  f"quota: {quota}", flush=True)
-        import signal as _signal
-
-        def _term(signum, frame):
-            raise KeyboardInterrupt(f"signal {signum}")
-
-        _signal.signal(_signal.SIGTERM, _term)
+            print(f"  recovered {service.recovered} unfinished job(s) of a "
+                  f"previous run", flush=True)
+        quota = (f"{args.quota_rate:g}/s" if args.quota_rate is not None
+                 else "unlimited")
+        where = (f"fleet frontend on {args.queue_dir}"
+                 if args.queue_dir is not None
+                 else f"local node, {args.workers} workers, on "
+                      f"{service.queue.root}")
+        print(f"  {where}  cache: {cache_dir or 'disabled'}  "
+              f"backlog: {args.backlog}  quota: {quota}", flush=True)
+        _sigterm_as_interrupt()
         try:
             service.serve_forever()
         except KeyboardInterrupt:
             pass
         print("repro serve: draining...", flush=True)
         outcome = service.stop(drain=True, timeout=args.drain_timeout)
-        if outcome.get("spilled"):
-            print(f"repro serve: spilled {outcome['spilled']} queued job(s) "
-                  f"as retryable (resubmitted on next start)", flush=True)
+        if outcome["requeued"]:
+            print(f"repro serve: {outcome['requeued']} unfinished job(s) "
+                  f"stay queued for the next start", flush=True)
         print("repro serve: bye", flush=True)
         return 0
     if args.command == "work":
@@ -559,12 +532,7 @@ def main(argv=None) -> int:
         print(f"repro work: node {node.node_id} pulling from "
               f"{args.queue_dir} ({args.workers} workers, "
               f"{args.lease:g}s leases)", flush=True)
-        import signal as _signal
-
-        def _term(signum, frame):
-            raise KeyboardInterrupt(f"signal {signum}")
-
-        _signal.signal(_signal.SIGTERM, _term)
+        _sigterm_as_interrupt()
         interrupted = False
         try:
             node.run_forever()

@@ -13,6 +13,7 @@ configurations with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 
@@ -180,7 +181,7 @@ LARGE = replace(
 
 
 #: Named reference configurations addressable over the wire (the service
-#: API and job spill files refer to configs by name, never by value).
+#: API and its queue records refer to configs by name, never by value).
 CONFIGS = {"small": SMALL, "medium": MEDIUM, "large": LARGE}
 
 
@@ -202,6 +203,7 @@ def scaled_iq_config(base: ProcessorConfig, iq_entries: int) -> ProcessorConfig:
     return replace(base, name=f"{base.name}-iq{iq_entries}", iq_entries=iq_entries)
 
 
+@functools.lru_cache(maxsize=64)
 def config_digest(config: ProcessorConfig) -> str:
     """Short content hash of every configuration field (provenance).
 
@@ -209,7 +211,8 @@ def config_digest(config: ProcessorConfig) -> str:
     cache/branch/SWQUE parameters) is equal -- unlike ``config.name``,
     which ``dataclasses.replace`` copies can reuse or shadow.  Recorded
     on results and harness records so a sweep cell can always be tied
-    back to the exact parameters that produced it.
+    back to the exact parameters that produced it.  Memoized: configs
+    are frozen, and the service keys every submission by this digest.
     """
     import dataclasses
     import hashlib

@@ -27,13 +27,14 @@ the same millisecond, and persistent across restarts).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.config import config_digest
@@ -60,8 +61,10 @@ class UncacheableJob(ValueError):
     """The job cannot be content-addressed (ad-hoc trace, fault injection)."""
 
 
+@functools.lru_cache(maxsize=64)
 def _profile_digest(profile: WorkloadProfile) -> str:
-    """Content hash of every workload-profile parameter (incl. phases)."""
+    """Content hash of every workload-profile parameter (incl. phases);
+    memoized, as profiles are frozen."""
     payload = json.dumps(
         dataclasses.asdict(profile), sort_keys=True, default=str
     ).encode("utf-8")
@@ -348,12 +351,12 @@ BREAKER_STATES = ("closed", "open", "half_open")
 class CircuitBreaker:
     """Classic three-state circuit breaker for a flaky backend.
 
-    Wraps nothing itself — the caller brackets each backend operation
-    with :meth:`allow` / :meth:`success` / :meth:`failure`:
+    The caller runs each backend operation through :meth:`guard` (or
+    brackets it with :meth:`allow` / :meth:`success` / :meth:`failure`):
 
     * **closed** (healthy): every call allowed; ``failure_threshold``
       consecutive failures trip it open.
-    * **open** (failing): every call refused — the scheduler degrades to
+    * **open** (failing): every call refused — the service degrades to
       compute-and-return, skipping the cache — until ``cooldown``
       seconds pass.
     * **half_open** (probing): after the cooldown, exactly one call is
@@ -422,6 +425,25 @@ class CircuitBreaker:
                 self._state = "open"
                 self._opened_at = self._clock()
                 self._trips += 1
+
+    def guard(self, operation: Callable[[], Any], counters) -> Any:
+        """Run one backend operation through the breaker.
+
+        An open breaker skips the operation (counted ``cache_bypass``);
+        a raising one counts ``cache_errors`` and a failure.  Both
+        return None, so the caller degrades to compute-and-return
+        instead of erroring the request."""
+        if not self.allow():
+            counters.inc("cache_bypass")
+            return None
+        try:
+            value = operation()
+        except Exception:
+            counters.inc("cache_errors")
+            self.failure()
+            return None
+        self.success()
+        return value
 
     def stats(self) -> dict:
         with self._lock:

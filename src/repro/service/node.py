@@ -1,9 +1,12 @@
-"""Worker node: pulls jobs from a shared :class:`DurableQueue` and runs
-them on the PR-6 supervised process pool.
+"""Worker node: pulls jobs from a :class:`DurableQueue` and runs them on
+the supervised process pool.
 
-A node is the fleet's unit of compute.  It owns no job state — every
-durable fact (intake, lease, outcome) lives in the queue directory — so
-a node can be ``kill -9``'d at any instant and the fleet loses nothing:
+A node is the fleet's unit of compute: ``python -m repro work`` runs
+one against a shared queue directory, and ``python -m repro serve``
+without ``--queue-dir`` runs one in-process over a private queue — a
+fleet of one.  It owns no job state — every durable fact (intake,
+lease, outcome) lives in the queue directory — so a node can be
+``kill -9``'d at any instant and the fleet loses nothing:
 its leases expire, another node reclaims at the next fencing epoch, and
 its own late writes (a SIGSTOP zombie waking up) are fenced at commit.
 
@@ -11,8 +14,9 @@ One iteration of the node loop (:meth:`WorkerNode.step`):
 
 1. **claim** — while the pool has idle workers (and the node is not
    draining), claim the best runnable job.  A content-key cache hit is
-   committed immediately without touching a worker — the fleet analogue
-   of the frontend's warm-cache fast path.
+   committed immediately without touching a worker.  Cache access goes
+   through a :class:`~repro.service.cache.CircuitBreaker`: a failing
+   cache degrades to compute-and-return, it never stops the loop.
 2. **renew** — leases past half their window are renewed; a renewal
    that discovers a higher epoch marks the lease lost but does *not*
    kill the running job.  Aborting it buys nothing: the outcome is
@@ -21,8 +25,8 @@ One iteration of the node loop (:meth:`WorkerNode.step`):
 3. **supervise** — drain pool events.  A result commits (exactly-once,
    fenced); a lost worker (crash/hang/timeout) releases the lease with
    a crash charge so the fleet's poison-job budget keeps counting
-   across nodes, exactly as the single-node scheduler's requeue path
-   counts within one node.
+   across nodes — or, when that loss exhausts the budget, quarantines
+   the job at once with the loss that did it.
 4. **heartbeat** — publish the node registry file (role, pool health,
    counters) that frontends aggregate into the ``/healthz`` fleet view.
 
@@ -35,13 +39,21 @@ costs nothing against its quarantine budget.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
+import traceback
 import uuid
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.service.cache import ResultCache, UncacheableJob, cache_key
+from repro.service.cache import (
+    CircuitBreaker,
+    ResultCache,
+    UncacheableJob,
+    cache_key,
+)
 from repro.service.queue import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_JOB_CRASHES,
@@ -49,6 +61,7 @@ from repro.service.queue import (
     DurableQueue,
     FencedWrite,
     QueueJob,
+    failure_result,
 )
 from repro.service.scheduler import job_from_dict
 from repro.service.supervisor import ProcessWorkerPool
@@ -58,73 +71,79 @@ from repro.telemetry.metrics import CounterSet
 #: Default supervised workers per node.
 DEFAULT_NODE_WORKERS = 2
 
-#: Idle sleep between loop iterations when there is nothing to do.
-DEFAULT_POLL_INTERVAL = 0.05
+#: Longest idle sleep between loop iterations: bounds how late a lost
+#: worker or an expiring lease is noticed.
+POLL_INTERVAL = 0.05
 
 
 class WorkerNode:
-    """One worker node on a shared queue directory.
+    """One worker node on a queue directory.
 
-    ``job_runner`` injects an in-process runner (tests); production
-    nodes fork real simulator processes.  ``clock`` must match the
-    queue's notion of wall time.
+    ``queue_dir`` and ``cache_dir`` also accept an open
+    :class:`DurableQueue`/:class:`ResultCache`, which the in-process
+    node of ``serve`` shares with its frontend (it then also shares the
+    frontend's ``breaker``).  ``job_runner`` replaces the simulation in
+    the forked workers (tests).
     """
 
     def __init__(
         self,
-        queue_dir: Union[str, Path],
-        cache_dir: Optional[Union[str, Path]] = None,
+        queue_dir: Union[str, Path, DurableQueue],
+        cache_dir: Optional[Union[str, Path, ResultCache]] = None,
         workers: int = DEFAULT_NODE_WORKERS,
         node_id: Optional[str] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_job_crashes: int = DEFAULT_MAX_JOB_CRASHES,
         job_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 10.0,
         retries: int = 1,
         fsync: bool = True,
         job_runner: Optional[Callable] = None,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        clock: Callable[[], float] = time.time,
         counters: Optional[CounterSet] = None,
     ) -> None:
-        self.node_id = node_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.counters = counters if counters is not None else CounterSet(
             dispatched=0,
             committed=0,
             commit_duplicates=0,
             commit_fenced=0,
             cache_hits=0,
+            cache_errors=0,
+            cache_bypass=0,
             worker_losses=0,
+            quarantined=0,
             drained_releases=0,
             bad_job_records=0,
         )
-        self.queue = DurableQueue(
-            queue_dir,
-            node_id=self.node_id,
-            lease_seconds=lease_seconds,
-            max_job_crashes=max_job_crashes,
-            fsync=fsync,
-            clock=clock,
-        )
-        self.cache = (
-            ResultCache(cache_dir) if cache_dir is not None else None
-        )
+        if isinstance(queue_dir, DurableQueue):
+            self.queue = queue_dir
+        else:
+            self.queue = DurableQueue(
+                queue_dir,
+                node_id=node_id or f"worker-{uuid.uuid4().hex[:8]}",
+                lease_seconds=lease_seconds,
+                max_job_crashes=max_job_crashes,
+                fsync=fsync,
+            )
+        self.node_id = self.queue.node_id
+        self.cache = (ResultCache(cache_dir)
+                      if isinstance(cache_dir, (str, Path)) else cache_dir)
+        self.breaker = CircuitBreaker()
         self.pool = ProcessWorkerPool(
             size=workers,
             job_runner=job_runner,
             retries=retries,
-            heartbeat_interval=heartbeat_interval,
             heartbeat_timeout=heartbeat_timeout,
             job_timeout=job_timeout,
         )
-        self.poll_interval = poll_interval
-        self._clock = clock
+        self._clock = self.queue._clock  # leases run on the queue's clock
         self._lock = threading.RLock()
-        self._inflight: Dict[str, Claim] = {}
-        self._inflight_entries: Dict[str, QueueJob] = {}
+        self._inflight: Dict[str, Tuple[QueueJob, Claim]] = {}
         self._draining = threading.Event()
         self._stop = threading.Event()
+        # The idle loop sleeps on this socket and the workers' result
+        # pipes at once, so an append or a finished job ends the sleep.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         self._started = False
         self._last_heartbeat = 0.0
         self._last_sweep = 0.0
@@ -132,22 +151,47 @@ class WorkerNode:
     # -- lifecycle --------------------------------------------------------------------
 
     def start(self) -> "WorkerNode":
+        """Fork the workers.  The loop registers the node within a
+        heartbeat interval and sweeps within a lease."""
         if not self._started:
             self.pool.start()
             self._started = True
-            self._heartbeat(force=True)
+            self._last_heartbeat = self._last_sweep = self._clock()
         return self
 
     def run_forever(self) -> None:
         """Drive :meth:`step` until :meth:`drain` or :meth:`stop`."""
         self.start()
+        with self._wake_r, self._wake_w:
+            self._loop()
+
+    def _loop(self) -> None:
         while not self._stop.is_set():
-            busy = self.step()
-            if not busy:
-                self._stop.wait(self.poll_interval)
+            try:
+                if not self.step():
+                    ready = wait(self.pool.connections() + [self._wake_r],
+                                 POLL_INTERVAL)
+                    if self._wake_r in ready:
+                        self._wake_r.recv(4096)
+            except Exception:  # pragma: no cover - defense in depth
+                if self._draining.is_set():
+                    return  # a concurrent drain stopped the pool under us
+                # A dead loop wedges every job on this node; report and
+                # count the error and try again on the next pass.
+                traceback.print_exc()
+                self.counters.inc("loop_errors")
+                self._stop.wait(POLL_INTERVAL)
+
+    def wake(self) -> None:
+        """Cut the idle sleep short: a job was just appended."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a wake-up is pending, or the loop has ended
+            pass
 
     def stop(self) -> None:
         self._stop.set()
+        self.wake()
 
     # -- one loop iteration -----------------------------------------------------------
 
@@ -184,7 +228,8 @@ class WorkerNode:
                 self._commit_failure(entry, claim, "MalformedJob", str(exc))
                 continue
             if self.cache is not None and entry.key:
-                hit = self.cache.get(entry.key)
+                hit = self.breaker.guard(
+                    lambda: self.cache.get(entry.key), self.counters)
                 if hit is not None:
                     self.counters.inc("cache_hits")
                     self._commit(entry, claim, hit.to_dict(), "done",
@@ -196,43 +241,53 @@ class WorkerNode:
                 self.queue.release(claim)
                 break
             with self._lock:
-                self._inflight[entry.id] = claim
-                self._inflight_entries[entry.id] = entry
+                self._inflight[entry.id] = (entry, claim)
             self.counters.inc("dispatched")
         return claimed_any
 
     def _renew_leases(self) -> None:
         now = self._clock()
         with self._lock:
-            claims = list(self._inflight.values())
+            claims = [claim for _, claim in self._inflight.values()]
         for claim in claims:
-            if claim.lost:
-                continue
-            if claim.expires_at - now <= self.queue.lease_seconds / 2.0:
+            if (not claim.lost
+                    and claim.expires_at - now <= self.queue.lease_seconds / 2):
                 self.queue.renew(claim)
 
     def _supervise(self) -> bool:
         events = self.pool.poll()
         for event in events:
+            with self._lock:
+                entry, claim = self._inflight.pop(event[1], (None, None))
+            if claim is None:
+                continue  # pragma: no cover - settled by a concurrent drain
             if event[0] == "result":
-                _, job_id, _job, result = event
-                with self._lock:
-                    claim = self._inflight.pop(job_id, None)
-                    entry = self._inflight_entries.pop(job_id, None)
-                if claim is None or entry is None:
-                    continue  # pragma: no cover - unknown job id
-                state = "done" if isinstance(result, SimResult) else "failed"
-                self._commit(entry, claim, result.to_dict(), state,
-                             sim_result=result)
+                _, _, job, result = event
+                ok = isinstance(result, SimResult)
+                if ok and self.cache is not None and entry.key:
+                    # Cache before commit: whoever sees the result can
+                    # resubmit it as a hit.  First put wins; a duplicate
+                    # put is a no-op, so racing nodes never churn it.
+                    self.breaker.guard(
+                        lambda: self.cache.put(entry.key, result, job=job,
+                                               if_absent=True),
+                        self.counters)
+                self._commit(entry, claim, result.to_dict(),
+                             "done" if ok else "failed")
             else:  # ("lost", job_id, job, kind, message)
-                _, job_id, _job, kind, message = event
-                with self._lock:
-                    claim = self._inflight.pop(job_id, None)
-                    self._inflight_entries.pop(job_id, None)
+                _, _, _, kind, message = event
                 self.counters.inc("worker_losses")
-                if claim is not None:
-                    # Crash-charged: the fleet's poison budget counts
-                    # local losses the same as dead-node reclaims.
+                # Crash-charged: the fleet's poison budget counts local
+                # losses the same as dead-node reclaims.
+                if claim.crashes + 1 > self.queue.max_job_crashes:
+                    claim.crashes += 1
+                    self.counters.inc("quarantined")
+                    self._commit_failure(
+                        entry, claim, "PoisonJob",
+                        f"quarantined after crashing {claim.crashes} "
+                        f"workers (last loss: {kind}: {message})",
+                        state="quarantined")
+                else:
                     self.queue.release(claim, crashed=True)
         return bool(events)
 
@@ -243,7 +298,6 @@ class WorkerNode:
         result_dict: dict,
         state: str,
         cached: bool = False,
-        sim_result: Optional[SimResult] = None,
     ) -> None:
         try:
             outcome = self.queue.commit(
@@ -256,38 +310,13 @@ class WorkerNode:
             self.counters.inc("commit_duplicates")
         else:
             self.counters.inc("committed")
-        if (
-            sim_result is not None
-            and self.cache is not None
-            and entry.key
-        ):
-            # First committer wins; a duplicate put is a no-op so the
-            # shared cache never churns under racing nodes.
-            self.cache.put(entry.key, sim_result,
-                           job=self._job_for_cache(entry), if_absent=True)
-
-    @staticmethod
-    def _job_for_cache(entry: QueueJob):
-        try:
-            return job_from_dict(dict(entry.job))
-        except (ValueError, KeyError, TypeError):  # pragma: no cover
-            return None
 
     def _commit_failure(
-        self, entry: QueueJob, claim: Claim, error_type: str, message: str
+        self, entry: QueueJob, claim: Claim, error_type: str, message: str,
+        state: str = "failed",
     ) -> None:
-        from repro.sim.results import FailedResult
-
-        job = entry.job if isinstance(entry.job, dict) else {}
-        failure = FailedResult(
-            workload=str(job.get("workload", "?")),
-            policy=str(job.get("policy", "?")),
-            config=str(job.get("config") or "medium"),
-            error_type=error_type,
-            error_message=message,
-            attempts=0,
-        )
-        self._commit(entry, claim, failure.to_dict(), "failed")
+        self._commit(entry, claim, failure_result(
+            entry.job, error_type, message, attempts=claim.crashes), state)
 
     # -- heartbeat / hygiene ----------------------------------------------------------
 
@@ -333,34 +362,29 @@ class WorkerNode:
             self._renew_leases()
             self._supervise()
             self._heartbeat()
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
         with self._lock:
             leftovers = dict(self._inflight)
             self._inflight.clear()
-            self._inflight_entries.clear()
-        for claim in leftovers.values():
+        for _, claim in leftovers.values():
             self.queue.release(claim)  # graceful: requeue, no crash charge
             self.counters.inc("drained_releases")
-        self.pool.stop(kill_busy=True)
+        self.pool.stop()
         self._heartbeat(force=True)
         self.stop()
-        return {
-            "requeued": len(leftovers),
-            "committed": self.counters.snapshot().get("committed", 0),
-        }
+        return {"requeued": len(leftovers)}
 
     # -- introspection ----------------------------------------------------------------
 
     def stats(self) -> dict:
         snapshot = self.counters.snapshot()
-        with self._lock:
-            inflight = len(self._inflight)
         snapshot.update(
             node=self.node_id,
-            inflight=inflight,
+            inflight=len(self._inflight),
             draining=self._draining.is_set(),
             pool=self.pool.stats(),
-            queue=self.queue.metrics(),
+            worker_pids=self.pool.pids(),
+            busy_pids=self.pool.busy_pids(),
         )
         return snapshot
 

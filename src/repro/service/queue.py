@@ -1,21 +1,20 @@
 """Shared durable job queue: leases, fencing epochs, exactly-once commit.
 
-This is the distributed half of the ROADMAP's fleet item.  PR-6 made a
-*single* node crash-safe (supervised process pool + write-ahead
-journal); this module makes the *fleet* crash-safe: any number of
-stateless API frontends append jobs, any number of worker nodes pull
-them, and the only shared substrate is a directory — no broker, no
-database, no coordinator process, in the spirit of coordination-free
-multi-writer queues (arXiv:2511.09410).  Everything is built from three
-filesystem primitives that are atomic on POSIX: ``O_APPEND`` writes,
-``os.link`` (exclusive publish), and ``os.replace``.
+The service's one job path.  Any number of stateless API frontends
+append jobs, any number of worker nodes pull them, and the only shared
+substrate is a directory — no broker, no database, no coordinator
+process, in the spirit of coordination-free multi-writer queues
+(arXiv:2511.09410).  A single-node ``serve`` is the same protocol with
+a fleet of one: a frontend plus an in-process node over a private queue
+directory (:meth:`DurableQueue.take_over`).  Everything is built from
+three filesystem primitives that are atomic on POSIX: ``O_APPEND``
+writes, ``os.link`` (exclusive publish), and ``os.replace``.
 
 Layout of a queue directory::
 
     queue/
       segments/seg-<writer>.jsonl   # append-only job intake, one file per
-                                    #   writer (the WAL record format of
-                                    #   service/journal.py)
+                                    #   writer (:func:`append_record`)
       claims/<job-id>.e<epoch>      # lease files, one per (job, epoch)
       results/<job-id>.json         # committed result envelopes
       nodes/<node-id>.json          # node registry / heartbeat files
@@ -26,8 +25,10 @@ The four protocols:
   accepted job to its *own* segment (single writer per file, so appends
   never interleave), flushed and fsync'd before the submission is
   acknowledged.  A crash mid-append leaves a torn trailing record;
-  scanners skip it, warn once, and count it — the WAL's torn-record
-  discipline (:func:`repro.service.journal.load_records`).
+  scanners skip it, warn once, and count it (:func:`load_records` has
+  the same torn-record discipline).  A cache hit needs no worker and
+  skips intake: it settles at once with one envelope that carries its
+  intake fields (:meth:`DurableQueue.settle_unclaimed`).
 
 * **Claims** — a worker claims job J at epoch E by publishing
   ``claims/J.e<E>`` via temp-file + ``os.link``: the link either
@@ -38,14 +39,16 @@ The four protocols:
   onto a name nobody else ever writes).  The epoch lives in the
   *filename*, so even a torn claim body still fences correctly — an
   unparsable claim is treated as expired, counted, never trusted.
+  Settled jobs need only that epoch, so scans read claim bodies for
+  unsettled jobs alone.
 
 * **Reclaim** — a lease that expires un-renewed marks its holder dead
   (``kill -9``, SIGSTOP zombie, network partition from the directory).
   Any node may then claim epoch E+1, inheriting the crash count plus
   one, so a poison job that keeps killing workers is quarantined
-  *fleet-wide* after ``max_job_crashes`` losses, exactly as the PR-6
-  single-node scheduler quarantines it locally.  A lease released
-  gracefully (node drain) requeues without a crash charge.
+  *fleet-wide* after ``max_job_crashes`` losses.  A lease released
+  gracefully (node drain, or a restarted node taking over its dead
+  predecessor's leases) requeues without a crash charge.
 
 * **Commit** — exactly-once result publication.  The committer first
   checks the **fencing epoch**: if any claim with a higher epoch exists,
@@ -56,16 +59,16 @@ The four protocols:
   with exactly one result file — the loser observes ``FileExistsError``
   and records an idempotent duplicate, never a second commit.
 
-Duplicate submissions from different frontends converge the same way
-the in-process scheduler's single-flight map converges them: job
-records carry their content-address (:func:`repro.service.cache.cache_key`),
-a worker skips a job whose key is already claimed elsewhere, and once
-the twin commits, the follower is settled by copying the committed
-envelope (``deduped``) instead of re-simulating.
+Duplicate submissions converge by content address: job records carry
+their :func:`repro.service.cache.cache_key`, a worker skips a job whose
+key is already claimed elsewhere, and once the twin commits, the
+follower is settled by copying the committed envelope (``deduped``)
+instead of re-simulating.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -76,8 +79,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.service.journal import append_record
 from repro.telemetry.metrics import CounterSet
+from repro.verify.snapshot import write_bytes_atomic
 
 #: Bumped whenever segment/claim/result record shapes change.
 QUEUE_SCHEMA_VERSION = 1
@@ -86,8 +89,7 @@ QUEUE_SCHEMA_VERSION = 1
 #: by live holders; a holder silent for longer is presumed dead.
 DEFAULT_LEASE_SECONDS = 10.0
 
-#: Default fleet-wide crash budget per job before quarantine (matches
-#: the single-node scheduler's DEFAULT_MAX_JOB_CRASHES).
+#: Default fleet-wide crash budget per job before quarantine.
 DEFAULT_MAX_JOB_CRASHES = 2
 
 #: A node registry entry older than this is counted as dead.
@@ -101,6 +103,99 @@ TORN_GRACE_SECONDS = 2.0
 #: after this many seconds — kept around first so a late fenced writer
 #: is *rejected* (diagnosable) rather than merely deduplicated.
 CLAIM_GC_SECONDS = 60.0
+
+#: A settled job's envelope (its ``/status`` record and ``/result``) is
+#: deleted by :meth:`sweep` this many seconds after it settled, once no
+#: segment holds its intake record.  Bounds ``results/`` by throughput
+#: times this window.
+RESULT_GC_SECONDS = 600.0
+
+#: A writer rewrites its own segment without settled records once this
+#: many of them have accumulated: the segment stays O(backlog + this).
+COMPACT_INTERVAL = 128
+
+#: Ownership locks (:meth:`DurableQueue.take_over`) held by this process.
+#: A forked child closes its copies: the lock belongs to the open file,
+#: so a worker outliving a ``kill -9``'d parent would otherwise keep the
+#: queue locked.  Closing a copy does not release the parent's lock.
+_OWNER_LOCKS: set = set()
+
+
+def _close_inherited_locks() -> None:
+    for fd in _OWNER_LOCKS:
+        try:
+            os.close(fd)
+        except OSError:  # pragma: no cover - already closed
+            pass
+    _OWNER_LOCKS.clear()
+
+
+os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
+def append_record(path: Union[str, Path], record: dict, fsync: bool = True) -> None:
+    """Append one JSON record durably: write, flush, and (by default)
+    ``fsync`` so an acknowledged record survives power loss, not merely
+    process death."""
+    line = json.dumps(record) + "\n"
+    with open(path, "a") as handle:
+        handle.write(line)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+
+def load_records(path: Union[str, Path]) -> Tuple[List[dict], int]:
+    """Every parsable JSON-object record in ``path`` plus a torn count.
+
+    A line that fails to parse — or parses to something other than an
+    object — is counted, never fatal: a crash mid-append must cost at
+    most the record being written, not the file.
+    """
+    records: List[dict] = []
+    torn = 0
+    path = Path(path)
+    if not path.exists():
+        return records, torn
+    with open(path, "r") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("record is not an object")
+            except (ValueError, TypeError):
+                torn += 1
+                continue
+            records.append(record)
+    return records, torn
+
+
+def failure_result(job, error_type: str, message: str,
+                   attempts: int = 0) -> dict:
+    """A :class:`~repro.sim.results.FailedResult` dict for a job dict
+    (possibly malformed) that produced no simulation result."""
+    from repro.sim.results import FailedResult
+
+    job = job if isinstance(job, dict) else {}
+    return FailedResult(
+        workload=str(job.get("workload", "?")),
+        policy=str(job.get("policy", "?")),
+        config=str(job.get("config") or "medium"),
+        error_type=error_type,
+        error_message=message,
+        attempts=attempts,
+    ).to_dict()
+
+
+def _stand_in(job_id: str, epoch: int, released: bool = True,
+              torn: bool = False) -> dict:
+    """Claim info for a body that was not (or could not be) read: it
+    fences at ``epoch`` and counts as an expired lease."""
+    return {"job_id": job_id, "epoch": epoch, "node": None, "crashes": 0,
+            "expires_at": 0.0, "released": released, "torn": torn}
 
 
 class FencedWrite(RuntimeError):
@@ -178,7 +273,6 @@ class DurableQueue:
         node_ttl: float = DEFAULT_NODE_TTL,
         fsync: bool = True,
         clock: Callable[[], float] = time.time,
-        counters: Optional[CounterSet] = None,
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
@@ -191,7 +285,7 @@ class DurableQueue:
         self.node_ttl = node_ttl
         self.fsync = fsync
         self._clock = clock
-        self.counters = counters if counters is not None else CounterSet(
+        self.counters = CounterSet(
             appended=0,
             claims=0,
             reclaims=0,
@@ -207,6 +301,7 @@ class DurableQueue:
             torn_segments=0,
             torn_claims=0,
             torn_records=0,
+            compactions=0,
         )
         self.segments_dir = self.root / "segments"
         self.claims_dir = self.root / "claims"
@@ -216,17 +311,24 @@ class DurableQueue:
                           self.results_dir, self.nodes_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        # Notified on every local commit: a waiter on this handle wakes
+        # at once instead of at its next poll.
+        self._settled_cond = threading.Condition(self._lock)
         self._segment_path = self.segments_dir / f"seg-{self.node_id}.jsonl"
         self._seq = 0
         self._nonce = uuid.uuid4().hex[:8]
         self._jobs: Dict[str, QueueJob] = {}
         self._tails: Dict[str, _SegmentTail] = {}
         self._settled: set = set()
-        self._result_meta: Dict[str, dict] = {}   # id -> light envelope meta
+        self._result_meta: Dict[str, dict] = {}   # id -> envelope sans result
         self._result_keys: Dict[str, str] = {}    # content key -> settled id
         self._claims: Dict[str, dict] = {}        # id -> highest-epoch info
         self._tokens: Dict[str, str] = {}         # idempotency token -> id
         self._torn_claim_files: set = set()
+        self._own_settled = 0       # settled records in our segment
+        self._pruned = dict.fromkeys(("done", "failed", "quarantined",
+                                      "cached", "deduped"), 0)
+        self._owner_lock: Optional[int] = None    # fd, see take_over
 
     # -- intake (frontend role) -------------------------------------------------------
 
@@ -246,8 +348,7 @@ class DurableQueue:
         """Durably enqueue one job; returns its intake record.
 
         The record is on disk (flushed, fsync'd by default) before this
-        returns — acknowledging a submission *is* the durability point,
-        exactly like the single-node WAL's accept-before-runnable rule.
+        returns — acknowledging a submission *is* the durability point.
         """
         with self._lock:
             record_id = job_id or self._next_id()
@@ -261,21 +362,8 @@ class DurableQueue:
                 submitted_at=self._clock(),
                 segment=self._segment_path.name,
             )
-            append_record(
-                self._segment_path,
-                {
-                    "op": "job",
-                    "schema": QUEUE_SCHEMA_VERSION,
-                    "id": entry.id,
-                    "job": job,
-                    "priority": entry.priority,
-                    "tenant": tenant,
-                    "token": token,
-                    "key": key,
-                    "submitted_at": entry.submitted_at,
-                },
-                fsync=self.fsync,
-            )
+            append_record(self._segment_path, self._intake_record(entry),
+                          fsync=self.fsync)
             self._jobs[entry.id] = entry
             if token:
                 self._tokens.setdefault(token, entry.id)
@@ -285,55 +373,51 @@ class DurableQueue:
     def compact_segment(self) -> int:
         """Rewrite this writer's own segment without settled jobs.
 
-        Only the segment's owner may compact it (single-writer rule: a
-        foreign compactor would race the owner's appends and lose
-        acknowledged records).  Returns how many records were dropped.
-        Other nodes observe the inode change and rescan from offset 0 —
-        re-reading a compacted segment is idempotent.
+        :meth:`scan` does this by itself every :data:`COMPACT_INTERVAL`
+        settled records.  Only the segment's owner may compact it
+        (single-writer rule: a foreign compactor would race the owner's
+        appends and lose acknowledged records).  Returns how many
+        records were dropped.  Other nodes observe the inode change and
+        rescan from offset 0 — re-reading a compacted segment is
+        idempotent.
         """
         with self._lock:
-            self.scan()
-            keep = [
-                entry for entry in self._jobs.values()
-                if entry.segment == self._segment_path.name
-                and entry.id not in self._settled
-            ]
-            total = sum(
-                1 for entry in self._jobs.values()
-                if entry.segment == self._segment_path.name
-            )
-            lines = [
-                json.dumps({
-                    "op": "job",
-                    "schema": QUEUE_SCHEMA_VERSION,
-                    "id": entry.id,
-                    "job": entry.job,
-                    "priority": entry.priority,
-                    "tenant": entry.tenant,
-                    "token": entry.token,
-                    "key": entry.key,
-                    "submitted_at": entry.submitted_at,
-                })
-                for entry in keep
-            ]
-            from repro.verify.snapshot import write_bytes_atomic
+            return self.scan() + self._rewrite_segment()
 
-            write_bytes_atomic(
-                "".join(line + "\n" for line in lines).encode("utf-8"),
-                self._segment_path,
-            )
-            # Force a rescan of our own segment from scratch.
-            self._tails.pop(self._segment_path.name, None)
-            return total - len(keep)
+    def _rewrite_segment(self) -> int:
+        name = self._segment_path.name
+        self._own_settled = 0
+        mine = [entry for entry in self._jobs.values() if entry.segment == name]
+        keep = [entry for entry in mine if entry.id not in self._settled]
+        if len(keep) == len(mine):
+            return 0
+        write_bytes_atomic(
+            "".join(json.dumps(self._intake_record(entry)) + "\n"
+                    for entry in keep).encode("utf-8"),
+            self._segment_path,
+        )
+        # Settled envelopes carry the intake fields: drop the records
+        # from memory too, and rescan our own segment from scratch.
+        for entry in mine:
+            if entry.id in self._settled:
+                del self._jobs[entry.id]
+        self._tails.pop(name, None)
+        self.counters.inc("compactions")
+        return len(mine) - len(keep)
 
     # -- scanning ---------------------------------------------------------------------
 
-    def scan(self) -> None:
-        """Refresh this handle's view of segments, results, and claims."""
+    def scan(self) -> int:
+        """Refresh this handle's view of segments, results, and claims,
+        and compact this writer's segment when it is due; returns how
+        many records that compaction dropped."""
         with self._lock:
             self._scan_segments()
             self._scan_results()
             self._scan_claims()
+            if self._own_settled < COMPACT_INTERVAL:
+                return 0
+            return self._rewrite_segment()
 
     def _scan_segments(self) -> None:
         try:
@@ -355,7 +439,12 @@ class DurableQueue:
             return
         if tail.ino is not None and (st.st_ino != tail.ino
                                      or st.st_size < tail.pos):
-            # Compacted (atomic replace) or truncated: rescan from 0.
+            # Compacted (atomic replace) or truncated: forget what it
+            # held and rescan from 0.  The owner compacts only settled
+            # records away, so every unsettled one comes back.
+            for job_id in [job_id for job_id, entry in self._jobs.items()
+                           if entry.segment == name]:
+                del self._jobs[job_id]
             tail.pos = 0
             tail.partial = b""
             tail.partial_since = None
@@ -439,50 +528,48 @@ class DurableQueue:
             job_id = name[: -len(".json")]
             if job_id in self._settled:
                 continue
-            meta = self._load_result_meta(job_id)
-            if meta is None:
-                continue
-            self._settled.add(job_id)
-            self._result_meta[job_id] = meta
-            key = meta.get("key")
-            if key:
-                self._result_keys.setdefault(key, job_id)
+            envelope = self.read_result(job_id)
+            if envelope is not None:
+                envelope.pop("result", None)
+                self._remember_settled(job_id, envelope)
 
-    def _load_result_meta(self, job_id: str) -> Optional[dict]:
-        envelope = self.read_result(job_id)
-        if envelope is None:
-            return None
-        return {
-            "state": envelope.get("state", "done"),
-            "node": envelope.get("node"),
-            "epoch": envelope.get("epoch"),
-            "key": envelope.get("key"),
-            "deduped": bool(envelope.get("deduped")),
-            "cached": bool(envelope.get("cached")),
-            "committed_at": envelope.get("committed_at"),
-        }
+    def _remember_settled(self, job_id: str, meta: dict) -> None:
+        entry = self._jobs.get(job_id)
+        if entry is not None and entry.segment == self._segment_path.name:
+            self._own_settled += 1
+        self._settled.add(job_id)
+        self._result_meta[job_id] = meta
+        if meta.get("key"):
+            self._result_keys.setdefault(meta["key"], job_id)
+        if meta.get("token"):
+            self._tokens.setdefault(str(meta["token"]), job_id)
 
-    def _scan_claims(self) -> None:
-        highest: Dict[str, Tuple[int, str]] = {}
+    def _claim_files(self) -> List[Tuple[str, int, os.DirEntry]]:
+        """(job id, epoch, entry) of every published claim file."""
         try:
             entries = list(os.scandir(self.claims_dir))
         except OSError:
-            return
+            return []
+        found = []
         for entry in entries:
-            name = entry.name
-            if name.startswith(".tmp-"):
-                continue
-            stem, sep, epoch_text = name.rpartition(".e")
-            if not sep or not epoch_text.isdigit():
-                continue
-            epoch = int(epoch_text)
-            current = highest.get(stem)
-            if current is None or epoch > current[0]:
-                highest[stem] = (epoch, name)
-        claims: Dict[str, dict] = {}
-        for job_id, (epoch, name) in highest.items():
-            claims[job_id] = self._parse_claim(job_id, epoch, name)
-        self._claims = claims
+            stem, sep, epoch_text = entry.name.rpartition(".e")
+            if (sep and epoch_text.isdigit()
+                    and not entry.name.startswith(".tmp-")):
+                found.append((stem, int(epoch_text), entry))
+        return found
+
+    def _scan_claims(self) -> None:
+        highest: Dict[str, Tuple[int, str]] = {}
+        for job_id, epoch, entry in self._claim_files():
+            if epoch > highest.get(job_id, (-1, ""))[0]:
+                highest[job_id] = (epoch, entry.name)
+        self._claims = {
+            # A settled job needs only the epoch (from the filename), to
+            # fence a late writer: skip its body read.
+            job_id: (_stand_in(job_id, epoch) if job_id in self._settled
+                     else self._parse_claim(job_id, epoch, name))
+            for job_id, (epoch, name) in highest.items()
+        }
 
     def _parse_claim(self, job_id: str, epoch: int, name: str) -> dict:
         """A claim file's content — or, when torn, a conservative stand-in.
@@ -506,9 +593,7 @@ class DurableQueue:
             }
         except OSError:
             # Swept between scandir and read: treat as absent-but-fencing.
-            return {"job_id": job_id, "epoch": epoch, "node": None,
-                    "crashes": 0, "expires_at": 0.0, "released": True,
-                    "torn": False}
+            return _stand_in(job_id, epoch)
         except (ValueError, TypeError):
             if name not in self._torn_claim_files:
                 self._torn_claim_files.add(name)
@@ -520,26 +605,31 @@ class DurableQueue:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return {"job_id": job_id, "epoch": epoch, "node": None,
-                    "crashes": 0, "expires_at": 0.0, "released": False,
-                    "torn": True}
+            return _stand_in(job_id, epoch, released=False, torn=True)
 
     # -- claiming (worker role) -------------------------------------------------------
 
     def _claim_path(self, job_id: str, epoch: int) -> Path:
         return self.claims_dir / f"{job_id}.e{epoch}"
 
-    def _publish_exclusive(self, payload: dict, target: Path) -> bool:
+    def _write_temp(self, payload: dict, directory: Path,
+                    fsync: bool = True) -> Path:
+        """``payload`` as a complete (and by default fsync'd) temp file in
+        ``directory``, ready to be linked or renamed into place."""
+        tmp = directory / f".tmp-{self.node_id}-{uuid.uuid4().hex[:8]}"
+        with open(tmp, "wb") as handle:
+            handle.write((json.dumps(payload) + "\n").encode("utf-8"))
+            handle.flush()
+            if fsync and self.fsync:
+                os.fsync(handle.fileno())
+        return tmp
+
+    def _publish_exclusive(self, payload: dict, target: Path,
+                           fsync: bool = True) -> bool:
         """Write ``payload`` to a temp file, then ``os.link`` it to
         ``target``: the name appears atomically with complete content,
         and only for exactly one caller."""
-        tmp = target.parent / f".tmp-{self.node_id}-{uuid.uuid4().hex[:8]}"
-        data = (json.dumps(payload) + "\n").encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        tmp = self._write_temp(payload, target.parent, fsync)
         try:
             os.link(tmp, target)
             return True
@@ -579,13 +669,13 @@ class DurableQueue:
     def claim_next(self) -> Optional[Tuple[QueueJob, Claim]]:
         """Claim the best runnable job, or None when nothing is claimable.
 
-        Selection order is the scheduler's: priority descending, then
-        submission order.  Along the way this performs the fleet
-        housekeeping that falls out of claiming: expired leases are
-        reclaimed at the next epoch (crash-charged unless released
-        gracefully), jobs over the fleet crash budget are quarantined,
-        and duplicate submissions of an already-committed content key
-        are settled by copy instead of re-execution.
+        Selection order: priority descending, then submission order.
+        Along the way this performs the fleet housekeeping that falls
+        out of claiming: expired leases are reclaimed at the next epoch
+        (crash-charged unless released gracefully), jobs over the fleet
+        crash budget are quarantined, and duplicate submissions of an
+        already-committed content key are settled by copy instead of
+        re-execution.
         """
         with self._lock:
             self.scan()
@@ -638,8 +728,7 @@ class DurableQueue:
     def _settle_from_twin(self, entry: QueueJob, twin_id: str) -> None:
         """Cross-node single-flight convergence: ``entry`` shares a
         content key with already-committed ``twin_id``, so it settles by
-        copying the twin's envelope instead of re-simulating — the
-        distributed analogue of the scheduler's dedup follower fan-out."""
+        copying the twin's envelope instead of re-simulating."""
         twin = self.read_result(twin_id)
         if twin is None:  # pragma: no cover - settled set said it exists
             return
@@ -649,7 +738,7 @@ class DurableQueue:
             state=str(twin.get("state") or "done"),
             node=self.node_id,
             epoch=0,
-            key=entry.key,
+            intake=self._intake(entry),
             deduped=True,
             cached=bool(twin.get("cached")),
         )
@@ -708,15 +797,8 @@ class DurableQueue:
             "expires_at": expires_at,
             "released": released,
         }
-        path = self._claim_path(claim.job_id, claim.epoch)
-        tmp = self.claims_dir / f".tmp-{self.node_id}-{uuid.uuid4().hex[:8]}"
-        data = (json.dumps(payload) + "\n").encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        os.replace(self._write_temp(payload, self.claims_dir),
+                   self._claim_path(claim.job_id, claim.epoch))
 
     # -- commitment -------------------------------------------------------------------
 
@@ -758,29 +840,51 @@ class DurableQueue:
                 state=state,
                 node=claim.node,
                 epoch=claim.epoch,
-                key=entry.key if entry is not None else None,
+                intake=self._intake(entry) if entry is not None else {},
                 cached=cached,
+                crashes=claim.crashes,
             )
 
-    def commit_unclaimed(
+    def settle_unclaimed(
         self,
-        job_id: str,
+        job: dict,
         result: dict,
         state: str = "done",
+        priority: int = 0,
+        tenant: str = "default",
+        token: Optional[str] = None,
         key: Optional[str] = None,
-        deduped: bool = False,
         cached: bool = False,
+        job_id: Optional[str] = None,
     ) -> str:
-        """Claim-free commitment for results that were never computed
-        here: frontend cache hits and dedup settles.  Safe without a
-        fence because the payload is a copy of an already-committed (or
-        cached) outcome, and the exclusive link still guarantees at most
-        one envelope per job id."""
+        """Settle a job that needs no worker — a cache hit, or an imported
+        quarantine — with one envelope carrying its intake fields and no
+        segment record (nothing can claim it, so no fence is needed).
+        Returns the job id.  A cache hit's envelope is not fsync'd: its
+        result is a copy of a durable one and it has no intake record, so
+        power loss costs at most a resubmission, while an fsync would be
+        most of a cache hit's latency."""
         with self._lock:
-            return self._publish_result(
+            job_id = job_id or self._next_id()
+            self._publish_result(
                 job_id, result, state=state, node=self.node_id, epoch=0,
-                key=key, deduped=deduped, cached=cached,
+                intake={"job": job, "priority": int(priority),
+                        "tenant": tenant, "token": token, "key": key,
+                        "submitted_at": self._clock()},
+                cached=cached, fsync=not cached,
             )
+            return job_id
+
+    @staticmethod
+    def _intake(entry: QueueJob) -> dict:
+        return {"job": entry.job, "priority": entry.priority,
+                "tenant": entry.tenant, "token": entry.token,
+                "key": entry.key, "submitted_at": entry.submitted_at}
+
+    @classmethod
+    def _intake_record(cls, entry: QueueJob) -> dict:
+        return {"op": "job", "schema": QUEUE_SCHEMA_VERSION, "id": entry.id,
+                **cls._intake(entry)}
 
     def _publish_result(
         self,
@@ -789,34 +893,32 @@ class DurableQueue:
         state: str,
         node: Optional[str],
         epoch: int,
-        key: Optional[str],
+        intake: dict,
         deduped: bool = False,
         cached: bool = False,
+        crashes: int = 0,
+        fsync: bool = True,
     ) -> str:
-        envelope = {
+        meta = {
             "schema": QUEUE_SCHEMA_VERSION,
             "job_id": job_id,
             "state": state,
             "node": node,
             "epoch": epoch,
-            "key": key,
+            "key": None,
             "deduped": deduped,
             "cached": cached,
+            "crashes": crashes,
             "committed_at": self._clock(),
-            "result": result,
         }
-        if not self._publish_exclusive(envelope, self._result_path(job_id)):
+        meta.update(intake)
+        if not self._publish_exclusive(dict(meta, result=result),
+                                       self._result_path(job_id), fsync):
             self.counters.inc("duplicate_commits")
             return "duplicate"
         self.counters.inc("commits")
-        self._settled.add(job_id)
-        self._result_meta[job_id] = {
-            "state": state, "node": node, "epoch": epoch, "key": key,
-            "deduped": deduped, "cached": cached,
-            "committed_at": envelope["committed_at"],
-        }
-        if key:
-            self._result_keys.setdefault(key, job_id)
+        self._remember_settled(job_id, meta)
+        self._settled_cond.notify_all()
         return "committed"
 
     def _quarantine(self, entry: QueueJob, epoch: int, crashes: int) -> None:
@@ -826,22 +928,14 @@ class DurableQueue:
         claim = self._acquire(entry.id, epoch, crashes)
         if claim is None:
             return  # a concurrent node is quarantining (or retrying) it
-        from repro.sim.results import FailedResult
-
-        job = entry.job if isinstance(entry.job, dict) else {}
-        result = FailedResult(
-            workload=str(job.get("workload", "?")),
-            policy=str(job.get("policy", "?")),
-            config=str(job.get("config") or "medium"),
-            error_type="PoisonJob",
-            error_message=(
-                f"quarantined fleet-wide after {crashes} lease losses "
-                f"(crashed or dead nodes); last epoch {epoch}"
-            ),
+        result = failure_result(
+            entry.job, "PoisonJob",
+            f"quarantined fleet-wide after {crashes} lease losses "
+            f"(crashed or dead nodes); last epoch {epoch}",
             attempts=crashes,
         )
         try:
-            self.commit(claim, result.to_dict(), state="quarantined")
+            self.commit(claim, result, state="quarantined")
             self.counters.inc("quarantined")
         except FencedWrite:  # pragma: no cover - we hold the top epoch
             pass
@@ -870,91 +964,93 @@ class DurableQueue:
             return None
 
     def lookup(self, job_id: str) -> Optional[dict]:
-        """A light status record for ``job_id``, or None if unknown.
+        """The status record for ``job_id`` (what ``/status`` serves), or
+        None if unknown.
 
-        States mirror the in-process scheduler's: ``queued`` (intaken,
-        no live lease), ``running`` (live lease), or the terminal state
-        recorded in the committed envelope.
+        States: ``queued`` (intaken, no live lease), ``running`` (live
+        lease), or the terminal state recorded in the committed
+        envelope.  Envelopes are immutable, so a settled id is answered
+        from memory without touching the directory.
         """
         with self._lock:
-            self.scan()
             meta = self._result_meta.get(job_id)
+            if meta is None:
+                self.scan()
+                meta = self._result_meta.get(job_id)
             entry = self._jobs.get(job_id)
-            if meta is not None:
-                payload = {
-                    "id": job_id,
-                    "state": meta["state"],
-                    "deduped": meta["deduped"],
-                    "cached": meta["cached"],
-                    "node": meta["node"],
-                    "epoch": meta["epoch"],
-                    "key": meta["key"],
-                    "finished_at": meta["committed_at"],
-                }
-                if entry is not None:
-                    payload.update(
-                        job=entry.job, tenant=entry.tenant,
-                        submitted_at=entry.submitted_at,
-                    )
-                return payload
-            if entry is None:
+            if meta is None and entry is None:
                 return None
-            claim_info = self._claims.get(job_id)
-            running = (
-                claim_info is not None
-                and claim_info["expires_at"] > self._clock()
-            )
+            info = dict(meta or {})
+            if entry is not None:
+                info.update(self._intake(entry))
+            if meta is None:
+                claim = self._claims.get(job_id) or {}
+                running = claim.get("expires_at", 0.0) > self._clock()
+                info.update(state="running" if running else "queued",
+                            node=claim.get("node") if running else None,
+                            epoch=claim.get("epoch", 0),
+                            crashes=claim.get("crashes", 0))
             return {
                 "id": job_id,
-                "state": "running" if running else "queued",
-                "deduped": False,
-                "cached": False,
-                "node": claim_info["node"] if running else None,
-                "epoch": claim_info["epoch"] if claim_info else 0,
-                "key": entry.key,
-                "job": entry.job,
-                "tenant": entry.tenant,
-                "priority": entry.priority,
-                "submitted_at": entry.submitted_at,
-                "crashes": claim_info["crashes"] if claim_info else 0,
-                "finished_at": None,
+                "state": info["state"],
+                "cached": bool(info.get("cached")),
+                "deduped": bool(info.get("deduped")),
+                "tenant": info.get("tenant", "default"),
+                "priority": info.get("priority", 0),
+                "node": info.get("node"),
+                "epoch": info.get("epoch", 0),
+                "crashes": info.get("crashes", 0),
+                "key": info.get("key"),
+                "job": info.get("job"),
+                "submitted_at": info.get("submitted_at"),
+                "finished_at": info.get("committed_at"),
             }
 
     def find_token(self, token: str) -> Optional[str]:
         """The job id a client idempotency token was admitted under, or
-        None.  Tokens ride in intake records, so dedup works across
-        frontends: a retried POST that lands on a different frontend
-        still converges once that frontend's scan has the record."""
+        None.  Tokens ride in intake records and in the envelopes of
+        cache hits, so dedup works across frontends: a retried POST that
+        lands on a different frontend converges once that frontend has
+        seen the record.  An unknown token tails the segments and lists
+        the results; claims cannot hold an unseen token."""
         with self._lock:
             if token not in self._tokens:
-                self.scan()
+                self._scan_segments()
+                self._scan_results()
             return self._tokens.get(token)
 
     def wait_settled(
         self, job_id: str, timeout: Optional[float] = None, poll: float = 0.05
     ) -> Optional[dict]:
         """Block until ``job_id`` commits; returns the envelope or None
-        on timeout.  Polling, because the only shared medium is a
-        directory — frontends cap the wait server-side."""
+        on timeout.  A commit through this handle wakes the waiter at
+        once; a commit by another process is seen at the next ``poll``,
+        because the only shared medium is a directory — frontends cap
+        the wait server-side."""
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
         while True:
             envelope = self.read_result(job_id)
             if envelope is not None:
-                with self._lock:
-                    self._scan_results()
                 return envelope
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-            time.sleep(poll)
+            wait = poll
+            if deadline is not None:
+                wait = min(poll, deadline - time.monotonic())
+                if wait <= 0:
+                    return None
+            with self._lock:
+                if job_id not in self._settled:
+                    self._settled_cond.wait(wait)
 
     # -- node registry ----------------------------------------------------------------
 
     def write_node(self, role: str, payload: Optional[dict] = None) -> None:
-        """Publish this node's heartbeat/registry file (atomic)."""
-        from repro.verify.snapshot import write_bytes_atomic
+        """Publish this node's heartbeat/registry file (atomic).
 
+        Not fsync'd: it is soft state, rewritten every heartbeat, and
+        what it records (a live pid) cannot outlive a power loss anyway.
+        """
         document = {
             "schema": QUEUE_SCHEMA_VERSION,
             "node": self.node_id,
@@ -965,15 +1061,72 @@ class DurableQueue:
         }
         if payload:
             document.update(payload)
-        write_bytes_atomic(
-            (json.dumps(document) + "\n").encode("utf-8"),
-            self.nodes_dir / f"{self.node_id}.json",
-        )
+        os.replace(self._write_temp(document, self.nodes_dir, fsync=False),
+                   self.nodes_dir / f"{self.node_id}.json")
 
     def remove_node(self) -> None:
+        """Leave the queue: delete this node's registry file and give up
+        the ownership :meth:`take_over` took."""
         try:
             (self.nodes_dir / f"{self.node_id}.json").unlink()
         except OSError:
+            pass
+        if self._owner_lock in _OWNER_LOCKS:  # not a forked child's copy
+            _OWNER_LOCKS.discard(self._owner_lock)
+            os.close(self._owner_lock)  # drops the flock
+        self._owner_lock = None
+
+    def take_over(self) -> int:
+        """Become the one live node under this handle's id after its
+        predecessor stopped or died (``kill -9``); returns how many
+        unsettled jobs it left.
+
+        Ownership is an exclusive ``flock`` on ``nodes/<id>.lock``, held
+        until :meth:`remove_node`; the kernel drops it when the owner
+        dies.  While another live handle holds it this refuses
+        (``RuntimeError``).  Otherwise it drops the predecessor's torn
+        trailing intake record (never acknowledged), releases its leases
+        with no crash charge — so its jobs rerun now, not after a lease
+        timeout — and compacts the segment.
+        """
+        lock_path = self.nodes_dir / f"{self.node_id}.lock"
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise RuntimeError(
+                f"queue {self.root} is in use by a live node "
+                f"{self.node_id!r} (it holds {lock_path}); stop that "
+                f"service first"
+            ) from None
+        self._owner_lock = fd
+        _OWNER_LOCKS.add(fd)
+        try:
+            self.write_node("worker", {"workers": 0})
+            with self._lock:
+                self._truncate_torn_tail()
+                self.compact_segment()  # scans
+                for job_id, info in self._claims.items():
+                    if (job_id not in self._settled
+                            and info["node"] == self.node_id
+                            and not info["released"]):
+                        self.release(Claim(job_id, info["epoch"],
+                                           self.node_id, info["crashes"],
+                                           0.0, 0.0))
+                return sum(1 for job_id in self._jobs
+                           if job_id not in self._settled)
+        except BaseException:
+            self.remove_node()
+            raise
+
+    def _truncate_torn_tail(self) -> None:
+        try:
+            with open(self._segment_path, "rb+") as handle:
+                data = handle.read()
+                if data and not data.endswith(b"\n"):
+                    handle.truncate(data.rfind(b"\n") + 1)
+        except FileNotFoundError:
             pass
 
     def fleet(self) -> dict:
@@ -1032,8 +1185,9 @@ class DurableQueue:
     def sweep(self, claim_gc_seconds: float = CLAIM_GC_SECONDS) -> dict:
         """Dead-node housekeeping: quarantine jobs over the fleet crash
         budget even when no node wants to claim them (so waiting clients
-        see a terminal state, not an eternal requeue loop), and GC claim
-        files of long-settled jobs.  Safe to run from any node, any
+        see a terminal state, not an eternal requeue loop), GC claim
+        files of long-settled jobs, and delete envelopes older than
+        :data:`RESULT_GC_SECONDS`.  Safe to run from any node, any
         number of times."""
         with self._lock:
             self.scan()
@@ -1052,15 +1206,7 @@ class DurableQueue:
                     self._quarantine(entry, claim_info["epoch"] + 1, crashes)
                     quarantined += 1
             removed = 0
-            try:
-                entries = list(os.scandir(self.claims_dir))
-            except OSError:
-                entries = []
-            for file_entry in entries:
-                name = file_entry.name
-                stem, sep, epoch_text = name.rpartition(".e")
-                if not sep or not epoch_text.isdigit():
-                    continue
+            for stem, _, file_entry in self._claim_files():
                 if stem not in self._settled:
                     continue
                 # Age by the commit stamp (the queue's own clock), not
@@ -1074,7 +1220,39 @@ class DurableQueue:
                     removed += 1
                 except OSError:
                     continue
-            return {"quarantined": quarantined, "claims_removed": removed}
+            return {"quarantined": quarantined, "claims_removed": removed,
+                    "results_removed": self._gc_results(now)}
+
+    def _gc_results(self, now: float) -> int:
+        """Delete envelopes settled over :data:`RESULT_GC_SECONDS` ago
+        whose intake record no segment holds any more (a scan just read
+        every segment), so the job can never look unsettled; returns how
+        many.  Their outcomes stay counted in :meth:`metrics`."""
+        stale = [
+            job_id for job_id, meta in self._result_meta.items()
+            if job_id not in self._jobs
+            and now - float(meta.get("committed_at") or 0.0)
+            >= RESULT_GC_SECONDS
+        ]
+        for job_id in stale:
+            try:
+                self._result_path(job_id).unlink()
+            except FileNotFoundError:
+                pass  # another node collected it first
+            meta = self._result_meta.pop(job_id)
+            self._settled.discard(job_id)
+            if self._result_keys.get(meta.get("key")) == job_id:
+                del self._result_keys[meta["key"]]
+            if self._tokens.get(meta.get("token")) == job_id:
+                del self._tokens[meta["token"]]
+            self._count_outcome(self._pruned, meta)
+        return len(stale)
+
+    @staticmethod
+    def _count_outcome(outcomes: dict, meta: dict) -> None:
+        outcomes[meta["state"]] = outcomes.get(meta["state"], 0) + 1
+        outcomes["cached"] += bool(meta.get("cached"))
+        outcomes["deduped"] += bool(meta.get("deduped"))
 
     # -- introspection ----------------------------------------------------------------
 
@@ -1111,12 +1289,19 @@ class DurableQueue:
                 age = now - entry.submitted_at
                 if oldest_unclaimed is None or age > oldest_unclaimed:
                     oldest_unclaimed = age
+            # Settle totals from the durable envelopes, not counters: exact
+            # across restarts and nodes for envelopes still on disk, plus
+            # the ones this handle has garbage-collected.
+            outcomes = dict(self._pruned)
+            for meta in self._result_meta.values():
+                self._count_outcome(outcomes, meta)
             snapshot = self.counters.snapshot()
             snapshot.update(
                 node=self.node_id,
                 pending=pending,
                 running=running,
                 settled=len(self._settled),
+                outcomes=outcomes,
                 known_jobs=len(self._jobs),
                 segments=len(self._tails),
                 oldest_unclaimed_age_s=(

@@ -1,53 +1,60 @@
 """Stdlib-only HTTP front end: simulation-as-a-service.
 
-:class:`ReproService` wires the three serving pieces together — the
-content-addressed :class:`~repro.service.cache.ResultCache`, the
-priority :class:`~repro.service.scheduler.JobScheduler`, and a
+:class:`ReproService` is a frontend over a
+:class:`~repro.service.queue.DurableQueue`: it admits submissions
+(:class:`~repro.service.scheduler.Admission`), answers cache hits from
+the content-addressed :class:`~repro.service.cache.ResultCache`, and
+serves status and results from the queue's durable state through a
 ``ThreadingHTTPServer`` speaking a small JSON API:
 
 ========  ==============  ====================================================
 method    path            behaviour
 ========  ==============  ====================================================
 POST      ``/submit``     admit one job ``{"workload", "policy", ...}``;
-                          returns its record (429 backlog, 503 closed)
+                          returns its record (429 quota/backlog, 503 closed)
 POST      ``/batch``      admit ``{"jobs": [...]}`` independently; per-job
                           records or errors, never all-or-nothing
 GET       ``/status/ID``  the job record, without the result payload
 GET       ``/result/ID``  the result once terminal (202 while pending;
                           ``?wait=1&timeout=S`` blocks, capped server-side)
 GET       ``/healthz``    liveness + version + uptime
-GET       ``/metricsz``   scheduler / cache / server counter export
+GET       ``/metricsz``   server / cache / admission / queue / node counters
 ========  ==============  ====================================================
 
 Everything is ``http.server`` + ``json`` — no third-party dependency,
 per the repo's stdlib-only constraint.  One OS thread per in-flight
 request (``ThreadingHTTPServer``) is plenty: the simulation work itself
-is bounded by the scheduler's worker pool, and request handling is I/O.
+is bounded by the worker pool, and request handling is I/O.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 import threading
 import time
 import uuid
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro._version import __version__
-from repro.service.cache import (
-    DEFAULT_MAX_BYTES,
-    ResultCache,
-    UncacheableJob,
-    cache_key,
+from repro.service.cache import DEFAULT_MAX_BYTES, CircuitBreaker, ResultCache
+from repro.service.node import WorkerNode, queue_key_for
+from repro.service.queue import (
+    DEFAULT_LEASE_SECONDS,
+    DurableQueue,
+    failure_result,
+    load_records,
 )
-from repro.service.journal import JobJournal
-from repro.service.queue import DurableQueue
 from repro.service.scheduler import (
+    DEFAULT_SHED_WATERMARK,
+    Admission,
     BacklogFull,
-    JobScheduler,
     RateLimited,
     SchedulerClosed,
     TERMINAL_STATES,
@@ -62,6 +69,25 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Hard server-side cap on ``/result?wait=1`` blocking, seconds.
 MAX_RESULT_WAIT = 120.0
+
+#: Stable id of the in-process node of ``serve`` without ``--queue-dir``:
+#: a restart on the same cache dir finds its predecessor's registry file
+#: (and pid) under this name.
+LOCAL_NODE_ID = "local"
+
+#: What admission raises for a rejected submission.
+ADMISSION_ERRORS = (ValueError, KeyError, BacklogFull, RateLimited,
+                    SchedulerClosed)
+
+
+def _rejection(exc: Exception) -> Tuple[int, dict]:
+    """HTTP status and error payload for one of :data:`ADMISSION_ERRORS`:
+    400 for a bad spec, 429 for quota/backlog, 503 while shutting down
+    (the last two with a ``retry_after`` hint)."""
+    if isinstance(exc, (ValueError, KeyError)):
+        return 400, {"error": str(exc)}
+    status = 503 if isinstance(exc, SchedulerClosed) else 429
+    return status, {"error": str(exc), "retry_after": exc.retry_after}
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -147,7 +173,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             if url.path == "/submit":
-                self._reply(200, self._admit(payload))
+                self._reply(200, self.service.admit(payload))
             elif url.path == "/batch":
                 jobs = payload.get("jobs")
                 if not isinstance(jobs, list):
@@ -155,67 +181,38 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 self._reply(200, {"jobs": [self._admit_soft(j) for j in jobs]})
             else:
                 self._reply(404, {"error": f"no route for {url.path!r}"})
-        except (ValueError, KeyError) as exc:
-            self._reply(400, {"error": str(exc)})
-        except (BacklogFull, RateLimited) as exc:
-            self._reply(
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": int(exc.retry_after)},
-            )
-        except SchedulerClosed as exc:
-            self._reply(
-                503,
-                {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": int(exc.retry_after)},
-            )
+        except ADMISSION_ERRORS as exc:
+            status, body = _rejection(exc)
+            headers = None
+            if "retry_after" in body:
+                headers = {"Retry-After": int(body["retry_after"])}
+            self._reply(status, body, headers=headers)
         except Exception as exc:  # pragma: no cover - last-ditch 500
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def _admit(self, payload: dict) -> dict:
-        return self.service.admit(payload)
 
     def _admit_soft(self, payload) -> dict:
         """Batch admission: one bad/rejected job never poisons the rest."""
         try:
-            return self._admit(payload)
-        except (ValueError, KeyError) as exc:
-            return {"error": str(exc), "status": 400}
-        except (BacklogFull, RateLimited) as exc:
-            return {
-                "error": str(exc),
-                "status": 429,
-                "retry_after": exc.retry_after,
-            }
-        except SchedulerClosed as exc:
-            return {
-                "error": str(exc),
-                "status": 503,
-                "retry_after": exc.retry_after,
-            }
+            return self.service.admit(payload)
+        except ADMISSION_ERRORS as exc:
+            status, body = _rejection(exc)
+            return dict(body, status=status)
 
 
 class ReproService:
-    """The composed serving stack: cache + scheduler + HTTP server.
+    """The serving stack: a queue frontend behind an HTTP server.
 
     ``port=0`` binds an ephemeral port (read it back from
-    :attr:`address`) — the test-friendly default.  Use :meth:`start` for
-    a background server (tests, notebooks) or :meth:`serve_forever` for
-    a foreground one (the ``python -m repro serve`` CLI).
+    :attr:`address`).  Use :meth:`start` for a background server or
+    :meth:`serve_forever` for a foreground one (the CLI).
 
-    Two execution modes behind one API:
-
-    * **single-node** (default): the PR-6 stack — in-process
-      :class:`JobScheduler` on a supervised worker pool, WAL, quotas.
-    * **fleet frontend** (``queue_dir=...``): the frontend is
-      *stateless*.  Admission appends an intake record to the shared
-      :class:`~repro.service.queue.DurableQueue`; execution happens on
-      whatever ``python -m repro work`` nodes share the directory, and
-      status/result reads come straight from the queue's durable state
-      — so any frontend can answer for any job, and ``kill -9`` of a
-      frontend loses nothing that was acknowledged.  ``/healthz`` and
-      ``/metricsz`` grow a fleet view: nodes alive, queue lag, oldest
-      unclaimed age, fenced-write rejections.
+    Without ``queue_dir`` the service also runs one in-process
+    :class:`~repro.service.node.WorkerNode` over a private queue at
+    ``<cache_dir>/queue`` (a temporary directory without a cache dir),
+    sharing its queue handle, cache and breaker; the node's stable id
+    lets a restart after ``kill -9`` take over its leases at once.  With
+    ``queue_dir`` it is a stateless fleet frontend and ``python -m repro
+    work`` nodes run the jobs.  Both admit through :class:`Admission`.
     """
 
     def __init__(
@@ -226,91 +223,104 @@ class ReproService:
         cache_max_bytes: int = DEFAULT_MAX_BYTES,
         workers: int = 2,
         max_backlog: int = 64,
-        executor: str = "inline",
         timeout: Optional[float] = None,
         retries: int = 1,
-        backoff: float = 0.5,
-        spill_path: Optional[Union[str, Path]] = None,
         job_runner=None,
-        pool: Optional[str] = None,
-        journal_path: Optional[Union[str, Path]] = None,
         max_job_crashes: int = 2,
         heartbeat_timeout: float = 10.0,
         quota_rate: Optional[float] = None,
         quota_burst: float = 10.0,
         quotas: Optional[dict] = None,
-        shed_watermark: float = 0.75,
+        shed_watermark: float = DEFAULT_SHED_WATERMARK,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         queue_dir: Optional[Union[str, Path]] = None,
-        node_id: Optional[str] = None,
-        lease_seconds: Optional[float] = None,
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         fsync: bool = True,
     ) -> None:
         self.counters = CounterSet()
+        # Job counters, shared with the local node when there is one.
+        self.jobs = CounterSet(
+            submitted=0, cache_hits=0, token_dedup=0, rejected_backlog=0,
+            rejected_closed=0, rate_limited=0, shed=0, cache_errors=0,
+            cache_bypass=0, legacy_skipped=0,
+        )
         self.cache = (
             ResultCache(cache_dir, max_bytes=cache_max_bytes)
             if cache_dir is not None
             else None
         )
-        self.max_backlog = max_backlog
-        self.queue: Optional[DurableQueue] = None
-        self.scheduler: Optional[JobScheduler] = None
-        self.journal: Optional[JobJournal] = None
+        self.breaker = CircuitBreaker(
+            failure_threshold=breaker_threshold, cooldown=breaker_cooldown
+        )
+        self.admission = Admission(
+            self.jobs, max_backlog=max_backlog, quota_rate=quota_rate,
+            quota_burst=quota_burst, quotas=quotas,
+            shed_watermark=shed_watermark,
+        )
+        self._admit_lock = threading.Lock()
+        self._closed = False
+        self._private_dir: Optional[str] = None
+        self.node: Optional[WorkerNode] = None
+        self._node_thread: Optional[threading.Thread] = None
         self._hb_stop = threading.Event()
         self._hb_thread: Optional[threading.Thread] = None
-        if queue_dir is not None:
-            self._init_frontend(
-                queue_dir, node_id=node_id, lease_seconds=lease_seconds,
-                max_job_crashes=max_job_crashes, fsync=fsync,
-            )
-        else:
-            self._init_single_node(
-                cache_dir=cache_dir, workers=workers,
-                max_backlog=max_backlog, executor=executor, timeout=timeout,
-                retries=retries, backoff=backoff, spill_path=spill_path,
-                job_runner=job_runner, pool=pool, journal_path=journal_path,
-                max_job_crashes=max_job_crashes,
-                heartbeat_timeout=heartbeat_timeout, quota_rate=quota_rate,
-                quota_burst=quota_burst, quotas=quotas,
-                shed_watermark=shed_watermark,
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown,
-            )
-        handler = type("_BoundHandler", (_ServiceHandler,), {"service": self})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self._started_at = time.time()
-        self._serve_thread: Optional[threading.Thread] = None
-
-    def _init_frontend(
-        self,
-        queue_dir: Union[str, Path],
-        node_id: Optional[str],
-        lease_seconds: Optional[float],
-        max_job_crashes: int,
-        fsync: bool,
-    ) -> None:
-        """Fleet-frontend mode: no scheduler, no WAL — the shared queue
-        directory is the only durable state, so this process holds
-        nothing a ``kill -9`` could lose."""
-        from repro.service.queue import DEFAULT_LEASE_SECONDS
-
+        local = queue_dir is None
+        if local:
+            if cache_dir is not None:
+                queue_dir = Path(cache_dir) / "queue"
+            else:
+                queue_dir = self._private_dir = tempfile.mkdtemp(
+                    prefix="repro-queue-")
         self.queue = DurableQueue(
             queue_dir,
-            node_id=node_id or f"frontend-{uuid.uuid4().hex[:8]}",
-            lease_seconds=lease_seconds or DEFAULT_LEASE_SECONDS,
+            node_id=LOCAL_NODE_ID if local else
+            f"frontend-{uuid.uuid4().hex[:8]}",
+            lease_seconds=lease_seconds,
             max_job_crashes=max_job_crashes,
             fsync=fsync,
         )
-        self._admit_lock = threading.Lock()
-        self.recovery = {"recovered": 0}
         self.recovered = 0
-        self._hb_thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name="repro-frontend-heartbeat",
-            daemon=True,
-        )
-        self._hb_thread.start()
+        if local:
+            self.recovered = self.queue.take_over()
+            try:
+                if cache_dir is not None:
+                    self.recovered += self._import_legacy(Path(cache_dir))
+                self.node = WorkerNode(
+                    self.queue, cache_dir=self.cache, workers=workers,
+                    job_timeout=timeout, heartbeat_timeout=heartbeat_timeout,
+                    retries=retries, job_runner=job_runner,
+                    counters=self.jobs,
+                )
+                self.node.breaker = self.breaker
+                # Fork the workers before this service binds its socket
+                # or starts a thread, so they inherit neither.
+                self.node.start()
+                self.httpd = self._bind(host, port)
+            except BaseException:
+                if self.node is not None:
+                    self.node.pool.stop()
+                self.queue.remove_node()
+                raise
+            self._node_thread = threading.Thread(
+                target=self.node.run_forever, name="repro-local-node",
+                daemon=True,
+            )
+            self._node_thread.start()
+        else:
+            self.httpd = self._bind(host, port)
+            self._hb_thread = threading.Thread(
+                target=self._heartbeat_loop,
+                name="repro-frontend-heartbeat",
+                daemon=True,
+            )
+            self._hb_thread.start()
+        self._started_at = time.time()
+        self._serve_thread: Optional[threading.Thread] = None
+
+    def _bind(self, host: str, port: int) -> ThreadingHTTPServer:
+        handler = type("_BoundHandler", (_ServiceHandler,), {"service": self})
+        return ThreadingHTTPServer((host, port), handler)
 
     def _heartbeat_loop(self) -> None:
         interval = min(self.queue.node_ttl / 3.0, 2.0)
@@ -323,48 +333,67 @@ class ReproService:
                 pass
             self._hb_stop.wait(interval)
 
-    def _init_single_node(self, cache_dir, workers, max_backlog, executor,
-                          timeout, retries, backoff, spill_path, job_runner,
-                          pool, journal_path, max_job_crashes,
-                          heartbeat_timeout, quota_rate, quota_burst, quotas,
-                          shed_watermark, breaker_threshold,
-                          breaker_cooldown) -> None:
-        if spill_path is None and cache_dir is not None:
-            spill_path = Path(cache_dir) / "pending-jobs.jsonl"
-        if journal_path is None and cache_dir is not None:
-            journal_path = Path(cache_dir) / "jobs.wal"
-        self.journal = (
-            JobJournal(journal_path) if journal_path is not None else None
-        )
-        self.scheduler = JobScheduler(
-            cache=self.cache,
-            workers=workers,
-            max_backlog=max_backlog,
-            executor=executor,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            spill_path=spill_path,
-            job_runner=job_runner,
-            pool=pool,
-            journal=self.journal,
-            max_job_crashes=max_job_crashes,
-            heartbeat_timeout=heartbeat_timeout,
-            quota_rate=quota_rate,
-            quota_burst=quota_burst,
-            quotas=quotas,
-            shed_watermark=shed_watermark,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown=breaker_cooldown,
-        )
-        # Recovery before the first request lands: the WAL carries every
-        # accepted-but-unfinished job across a *hard* crash; the legacy
-        # JSONL spill file carries graceful-drain leftovers from
-        # pre-journal deployments.
-        self.recovery = self.scheduler.recover_journal()
-        self.recovered = self.recovery["recovered"] + len(
-            self.scheduler.recover_spilled()
-        )
+    def _import_legacy(self, cache_dir: Path) -> int:
+        """One-time upgrade from the pre-queue single-node format: append
+        a ``jobs.wal`` journal's pending accepts and a
+        ``pending-jobs.jsonl`` spill's lines to the private queue, settle
+        the journal's quarantined accepts, and rename each file
+        ``*.imported``.  Journal ids are kept and known ids skipped, so
+        an import cut short by a crash resumes.  Returns how many
+        runnable jobs were appended."""
+        pending, quarantined, skipped = {}, {}, 0
+        wal = cache_dir / "jobs.wal"
+        records, torn = load_records(wal)
+        for record in records:
+            op, job_id = record.get("op"), record.get("id")
+            if op == "accept" and isinstance(record.get("job"), dict):
+                pending[job_id] = record
+            elif op == "quarantine" and job_id in pending:
+                quarantined[job_id] = dict(pending.pop(job_id),
+                                           reason=record.get("reason") or "")
+            elif op == "done":
+                pending.pop(job_id, None)
+            else:
+                torn += 1
+        spill = cache_dir / "pending-jobs.jsonl"
+        spilled, spill_torn = load_records(spill)
+        for index, record in enumerate(spilled):
+            pending[f"spill-{index:06d}"] = {"job": record, **record}
+        if torn:
+            warnings.warn(
+                f"journal {wal} had {torn} torn/corrupt record(s) (hard "
+                f"crash mid-append?); they were skipped",
+                RuntimeWarning, stacklevel=3,
+            )
+        imported = 0
+        for job_id, record in {**pending, **quarantined}.items():
+            if self.queue.lookup(job_id) is not None:
+                continue
+            try:
+                job = job_from_dict(record["job"])
+                priority = int(record.get("priority") or 0)
+                tenant = str(record.get("tenant") or "default")
+            except (ValueError, KeyError, TypeError):
+                skipped += 1
+                continue
+            job_dict = job_to_dict(job, priority, tenant)
+            if job_id in quarantined:
+                poison = failure_result(
+                    job_dict, "PoisonJob",
+                    f"quarantined before the upgrade ({record['reason']})")
+                self.queue.settle_unclaimed(
+                    job_dict, poison, state="quarantined",
+                    priority=priority, tenant=tenant, job_id=job_id,
+                )
+                continue
+            self.queue.append(job_dict, priority=priority, tenant=tenant,
+                              key=queue_key_for(job), job_id=job_id)
+            imported += 1
+        for path in (wal, spill):
+            if path.exists():
+                os.replace(path, path.with_name(path.name + ".imported"))
+        self.jobs.inc("legacy_skipped", skipped + spill_torn)
+        return imported
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -392,30 +421,51 @@ class ReproService:
         self.httpd.serve_forever()
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> dict:
-        """Stop the HTTP listener, then shut the scheduler down.
+        """Stop the HTTP listener, then the local node (if any).
 
-        The listener closes first so no request can be accepted after
-        the scheduler stops admissions; then the scheduler completes or
-        spills the backlog (see :meth:`JobScheduler.shutdown`).
+        With ``drain`` the node works until the queue is empty or
+        ``timeout`` expires; then running jobs' leases are released with
+        no crash charge, and leftovers stay queued for the next start.
+        Returns ``{"drained": bool, "requeued": int}``.
         """
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        self._closed = True
         if self._serve_thread is not None:
+            self.httpd.shutdown()
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-        if self.queue is not None:
+        self.httpd.server_close()
+        if self.node is None:
             self._hb_stop.set()
             if self._hb_thread is not None:
                 self._hb_thread.join(timeout=5.0)
             self.queue.write_node("frontend", {"stopped": True})
-            return {"mode": "frontend"}
-        return self.scheduler.shutdown(drain=drain, timeout=timeout)
+            return {"drained": True, "requeued": 0}
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        while drain and (deadline is None or time.monotonic() < deadline):
+            backlog = self.queue.metrics()
+            if not backlog["pending"] and not backlog["running"]:
+                break
+            time.sleep(0.05)
+        self.node.stop()
+        self._node_thread.join(timeout=30.0)
+        # The queue is empty or the window is spent: release what runs.
+        self.node.drain(timeout=0.0)
+        leftover = self.queue.pending_count()
+        self.queue.remove_node()
+        if self._private_dir is not None:
+            shutil.rmtree(self._private_dir, ignore_errors=True)
+        return {"drained": not leftover, "requeued": leftover}
 
-    # -- admission (both modes) ------------------------------------------------------
+    # -- admission -------------------------------------------------------------------
 
     def admit(self, payload: dict) -> dict:
-        """Validate and admit one submission payload; returns the job
-        record dict the HTTP layer serves back."""
+        """Validate and admit one submission payload; returns its record.
+
+        A cache hit costs no worker, so it settles at once, before any
+        quota or backlog check.  The token lookup and the settle or
+        append share one lock, so two concurrent posts of one token get
+        one job.
+        """
         job = job_from_dict(payload)
         priority = int(payload.get("priority") or 0)
         tenant = payload.get("tenant") or "default"
@@ -424,152 +474,120 @@ class ReproService:
         token = payload.get("token")
         if token is not None and not isinstance(token, str):
             raise ValueError("token must be a string")
-        if self.queue is not None:
-            return self._queue_admit(job, priority, tenant, token)
-        record = self.scheduler.submit(
-            job, priority=priority, tenant=tenant, token=token
-        )
-        return record.to_dict(include_result=False)
-
-    def _queue_admit(self, job, priority: int, tenant: str,
-                     token: Optional[str]) -> dict:
-        try:
-            key = cache_key(job)
-        except UncacheableJob:
-            key = None
+        if self._closed:
+            self.jobs.inc("rejected_closed")
+            raise SchedulerClosed("service is shutting down")
+        key = queue_key_for(job)
+        job_dict = job_to_dict(job, priority, tenant)
+        hit = None
+        if key is not None and self.cache is not None:
+            hit = self.breaker.guard(lambda: self.cache.get(key), self.jobs)
         with self._admit_lock:
             if token is not None:
                 existing = self.queue.find_token(token)
                 if existing is not None:
-                    self.counters.inc("token_dedup")
-                    return self._queue_record(existing, include_result=False)
-            if self.queue.pending_count() >= self.max_backlog:
-                self.counters.inc("rejected_backlog")
-                raise BacklogFull(
-                    f"queue backlog full (>= {self.max_backlog} unclaimed); "
-                    f"retry once the fleet drains",
-                    retry_after=5.0,
+                    self.jobs.inc("token_dedup")
+                    return self.status_payload(existing)
+            self.jobs.inc("submitted")
+            self.admission.submitted(tenant)
+            if hit is not None:
+                self.jobs.inc("cache_hits")
+                job_id = self.queue.settle_unclaimed(
+                    job_dict, hit.to_dict(), priority=priority,
+                    tenant=tenant, token=token, key=key, cached=True,
                 )
-            entry = self.queue.append(
-                job_to_dict(job, priority, tenant),
-                priority=priority, tenant=tenant, token=token, key=key,
-            )
-            # Warm-cache fast path — committed under the new id so *any*
-            # frontend can serve the result (frontends stay stateless).
-            if key is not None and self.cache is not None:
-                try:
-                    hit = self.cache.get(key)
-                except Exception:
-                    hit = None
-                if hit is not None:
-                    self.counters.inc("cache_hits")
-                    self.queue.commit_unclaimed(
-                        entry.id, hit.to_dict(), state="done", key=key,
-                        cached=True,
-                    )
-            return self._queue_record(entry.id, include_result=False)
+            else:
+                self.admission.check(tenant, priority,
+                                     self.queue.pending_count())
+                job_id = self.queue.append(
+                    job_dict, priority=priority, tenant=tenant, token=token,
+                    key=key).id
+        if hit is None and self.node is not None:
+            self.node.wake()
+        return self.status_payload(job_id)
 
-    # -- lookups (both modes) --------------------------------------------------------
-
-    def status_payload(self, job_id: str) -> dict:
-        if self.queue is not None:
-            return self._queue_record(job_id, include_result=False)
-        return self.scheduler.record(job_id).to_dict(include_result=False)
+    # -- lookups ---------------------------------------------------------------------
 
     def result_payload(
         self, job_id: str, wait: bool, timeout: float
     ) -> Tuple[int, dict]:
         """(status code, payload) for ``GET /result/ID``: 200 with the
         result once terminal, 202 with the bare record while pending."""
-        if self.queue is not None:
-            record = self._queue_record(job_id, include_result=False)
-            if record["state"] not in TERMINAL_STATES and wait:
-                self.queue.wait_settled(job_id, timeout=timeout)
-                record = self._queue_record(job_id, include_result=False)
-            if record["state"] not in TERMINAL_STATES:
-                return 202, record
-            return 200, self._queue_record(job_id, include_result=True)
-        self.scheduler.result(job_id, wait=wait, timeout=timeout)
-        record = self.scheduler.record(job_id)
-        if not record.terminal:
-            return 202, record.to_dict(include_result=False)
-        return 200, record.to_dict(include_result=True)
+        record = self.status_payload(job_id)
+        if record["state"] not in TERMINAL_STATES and wait:
+            self.queue.wait_settled(job_id, timeout=timeout)
+            record = self.status_payload(job_id)
+        if record["state"] not in TERMINAL_STATES:
+            return 202, record
+        envelope = self.queue.read_result(job_id)
+        record["result"] = (
+            envelope.get("result") if envelope is not None else None
+        )
+        return 200, record
 
-    def _queue_record(self, job_id: str, include_result: bool) -> dict:
-        """A job record dict, in the same shape ``JobRecord.to_dict``
-        serves, built from the queue's durable state."""
-        info = self.queue.lookup(job_id)
-        if info is None:
+    def status_payload(self, job_id: str) -> dict:
+        """The job record ``GET /status/ID`` serves (no result)."""
+        record = self.queue.lookup(job_id)
+        if record is None:
             raise UnknownJob(job_id)
-        record = {
-            "id": job_id,
-            "state": info["state"],
-            "cached": bool(info.get("cached")),
-            "deduped": bool(info.get("deduped")),
-            "tenant": info.get("tenant", "default"),
-            "priority": info.get("priority", 0),
-            "node": info.get("node"),
-            "epoch": info.get("epoch", 0),
-            "submitted_at": info.get("submitted_at"),
-            "finished_at": info.get("finished_at"),
-        }
-        if include_result:
-            envelope = self.queue.read_result(job_id)
-            record["result"] = (
-                envelope.get("result") if envelope is not None else None
-            )
         return record
 
     # -- payload builders ------------------------------------------------------------
 
     def health(self) -> dict:
+        queue_metrics = self.queue.metrics()
         payload = {
             "status": "ok",
             "version": __version__,
             "uptime_s": round(time.time() - self._started_at, 3),
             "recovered_jobs": self.recovered,
-            "mode": "frontend" if self.queue is not None else "single",
+            "mode": "frontend" if self.node is None else "single",
+            "queue_depth": queue_metrics["pending"],
+            "queue_running": queue_metrics["running"],
+            "oldest_unclaimed_age_s": queue_metrics["oldest_unclaimed_age_s"],
+            "breaker": self.breaker.state,
         }
-        if self.queue is not None:
-            queue_metrics = self.queue.metrics()
-            fleet = self.queue.fleet()
-            payload.update(
-                queue_depth=queue_metrics["pending"],
-                queue_running=queue_metrics["running"],
-                oldest_unclaimed_age_s=queue_metrics[
-                    "oldest_unclaimed_age_s"
-                ],
-                nodes_alive=fleet["nodes_alive"],
-                workers_alive=fleet["workers_alive"],
-                frontends_alive=fleet["frontends_alive"],
-                fenced_rejections=fleet["totals"].get(
-                    "fenced_rejections", 0
-                ),
-            )
+        if self.node is not None:
+            payload.update(workers_alive=self.node.pool.alive_count(),
+                           workers=self.node.pool.size)
             return payload
-        scheduler = self.scheduler
+        fleet = self.queue.fleet()
         payload.update(
-            pool=scheduler.pool,
-            queue_depth=scheduler._queued,
-            breaker=scheduler.cache_breaker.state,
+            nodes_alive=fleet["nodes_alive"],
+            workers_alive=fleet["workers_alive"],
+            frontends_alive=fleet["frontends_alive"],
+            fenced_rejections=fleet["totals"].get("fenced_rejections", 0),
         )
-        if scheduler._pool is not None:
-            payload["workers_alive"] = scheduler._pool.alive_count()
-            payload["workers"] = scheduler._pool.size
-        if self.journal is not None:
-            payload["wal_pending"] = self.journal.pending_count()
-            payload["wal_bytes"] = self.journal.size_bytes()
         return payload
 
     def metrics(self) -> dict:
-        payload = {
+        """``/metricsz``: ``scheduler`` holds this frontend's admission
+        and job counters plus the queue-wide settle totals, read from
+        the durable envelopes; ``node`` is the local node (pool, worker
+        pids), or None on a fleet frontend."""
+        queue_metrics = self.queue.metrics()
+        outcomes = queue_metrics["outcomes"]
+        scheduler = self.jobs.snapshot()
+        scheduler.update(
+            queued=queue_metrics["pending"],
+            running=queue_metrics["running"],
+            completed=outcomes["done"] - outcomes["cached"]
+            - outcomes["deduped"],
+            failed=outcomes["failed"],
+            quarantined=outcomes["quarantined"],
+            deduped=outcomes["deduped"],
+            max_backlog=self.admission.max_backlog,
+            workers=self.node.pool.size if self.node is not None else 0,
+            closed=self._closed,
+            tenants=self.admission.tenants(),
+            breaker=self.breaker.stats(),
+        )
+        return {
             "version": __version__,
             "server": self.counters.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
+            "scheduler": scheduler,
+            "queue": queue_metrics,
+            "fleet": self.queue.fleet(),
+            "node": self.node.stats() if self.node is not None else None,
         }
-        if self.queue is not None:
-            payload["queue"] = self.queue.metrics()
-            payload["fleet"] = self.queue.fleet()
-        else:
-            payload["scheduler"] = self.scheduler.metrics()
-        return payload

@@ -1,46 +1,44 @@
-"""Supervised multi-process worker pool for the job scheduler.
+"""Supervised multi-process worker pool for a worker node.
 
-The PR-4 scheduler ran worker *threads*: cheap, but one hung simulation
-wedged a worker forever and an interpreter-killing bug (segfault, OOM)
-took the whole service down.  This module is the fleet-grade
-replacement: a pool of long-lived **forked worker processes** under a
-supervisor that treats worker death as an event, not a disaster —
-exactly how Lee's hard-real-time multiwriter queues are designed so no
-single stuck participant can wedge the structure (arXiv:0709.4558).
+A pool of long-lived **forked worker processes** under a supervisor
+that treats worker death as an event, not a disaster — how Lee's
+hard-real-time multiwriter queues are designed so no single stuck
+participant can wedge the structure (arXiv:0709.4558).  One hung
+simulation cannot wedge the node, and an interpreter-killing bug
+(segfault, OOM) costs one worker, not the service.
 
 Each worker:
 
-* runs dispatched jobs through the PR-1 harness retry loop
+* runs dispatched jobs through the harness retry loop
   (:func:`repro.sim.harness.run_job_with_retries`), so transient
   failures retry with backoff *inside* the worker;
 * emits a **heartbeat** — a shared ``multiprocessing.Value`` double it
-  refreshes from a daemon thread every ``heartbeat_interval`` seconds.
+  refreshes from a daemon thread every :data:`HEARTBEAT_INTERVAL` seconds.
   A worker that is SIGSTOPped, deadlocked, or spinning in C code stops
   beating and is declared hung.  (The beat is a shared double, not a
   pipe message, so it can never interleave with a result send.)
 
-The supervisor (:meth:`ProcessWorkerPool.poll`, driven by the
-scheduler's supervision loop) detects three failure shapes and turns
-each into a structured event instead of an exception:
+The supervisor (:meth:`ProcessWorkerPool.poll`, driven by the node's
+loop) detects three failure shapes and turns each into a structured
+event instead of an exception:
 
 * ``WorkerCrashed`` — the process died (SIGKILL, segfault, OOM) without
   reporting a result;
 * ``WorkerHung`` — the heartbeat went stale past ``heartbeat_timeout``;
   the worker is SIGKILLed;
 * ``JobTimeout`` — the in-flight job exceeded ``job_timeout`` seconds;
-  the worker is SIGKILLed (same enforcement the PR-1 process executor
-  applies per job).
+  the worker is SIGKILLed.
 
 In every case the dead worker is **restarted** immediately (the pool
-never shrinks) and the scheduler decides the in-flight job's fate:
-requeue it, or — after ``max_job_crashes`` worker losses — quarantine
-it as a poison job rather than crash-looping the fleet forever.
+never shrinks) and the node decides the in-flight job's fate: release
+its lease with a crash charge, or — after ``max_job_crashes`` worker
+losses — quarantine it as a poison job rather than crash-looping the
+fleet forever.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -54,8 +52,11 @@ from repro.sim.harness import (
 )
 from repro.telemetry.metrics import CounterSet
 
-#: Default seconds between worker heartbeat refreshes.
-DEFAULT_HEARTBEAT_INTERVAL = 0.25
+#: Seconds between worker heartbeat refreshes.
+HEARTBEAT_INTERVAL = 0.25
+
+#: Harness backoff between a worker's in-process retries, seconds.
+RETRY_BACKOFF = 0.5
 
 #: Default staleness bound before a silent worker is declared hung.
 #: Generous: a healthy worker beats ~40x within it even under full
@@ -68,11 +69,10 @@ WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung", "JobTimeout")
 
 def _pool_worker_main(
     conn,
+    supervisor_end,
     heartbeat,
-    heartbeat_interval: float,
     job_runner: Optional[Callable],
     retries: int,
-    backoff: float,
 ) -> None:
     """Worker-process entry: beat, receive jobs, report results.
 
@@ -83,12 +83,15 @@ def _pool_worker_main(
     failures are data — so the only ways to *not* answer are the ways
     the supervisor is built to detect: crash, kill, or hang.
     """
+    # The fork copied the supervisor's end of this pipe; holding it open
+    # would hide the supervisor's death (no EOF) and orphan this worker.
+    supervisor_end.close()
     stop = threading.Event()
 
     def beat() -> None:
         while not stop.is_set():
             heartbeat.value = time.monotonic()
-            stop.wait(heartbeat_interval)
+            stop.wait(HEARTBEAT_INTERVAL)
 
     heartbeat.value = time.monotonic()
     threading.Thread(target=beat, name="pool-heartbeat", daemon=True).start()
@@ -105,7 +108,7 @@ def _pool_worker_main(
             result = run_job_with_retries(
                 job,
                 retries=retries,
-                backoff=backoff,
+                backoff=RETRY_BACKOFF,
                 transient=TRANSIENT_ERRORS,
                 job_runner=runner,
             )
@@ -144,9 +147,9 @@ class _Worker:
 class ProcessWorkerPool:
     """A fixed-size pool of supervised, restartable worker processes.
 
-    The pool owns process lifecycle only; job bookkeeping (records,
-    priorities, requeue-vs-quarantine) stays in the scheduler, which
-    drives :meth:`dispatch` and :meth:`poll` from its supervision loop.
+    The pool owns process lifecycle only; job bookkeeping (leases,
+    requeue-vs-quarantine) stays in the worker node, which drives
+    :meth:`dispatch` and :meth:`poll` from its loop.
     Events come back as tuples::
 
         ("result", job_id, job, cell_result)
@@ -161,26 +164,21 @@ class ProcessWorkerPool:
         size: int,
         job_runner: Optional[Callable] = None,
         retries: int = 1,
-        backoff: float = 0.5,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         job_timeout: Optional[float] = None,
-        counters: Optional[CounterSet] = None,
     ) -> None:
         if size < 1:
             raise ValueError("need at least one worker")
-        if heartbeat_timeout <= heartbeat_interval:
+        if heartbeat_timeout <= HEARTBEAT_INTERVAL:
             raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval"
+                f"heartbeat_timeout must exceed {HEARTBEAT_INTERVAL}s"
             )
         self.size = size
         self.job_runner = job_runner
         self.retries = retries
-        self.backoff = backoff
-        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.job_timeout = job_timeout
-        self.counters = counters if counters is not None else CounterSet(
+        self.counters = CounterSet(
             worker_restarts=0,
             worker_crashes=0,
             worker_hangs=0,
@@ -207,11 +205,10 @@ class ProcessWorkerPool:
             target=_pool_worker_main,
             args=(
                 child_conn,
+                parent_conn,
                 heartbeat,
-                self.heartbeat_interval,
                 self.job_runner,
                 self.retries,
-                self.backoff,
             ),
             name="repro-pool-worker",
             daemon=True,
@@ -220,19 +217,17 @@ class ProcessWorkerPool:
         child_conn.close()
         return _Worker(proc=proc, conn=parent_conn, heartbeat=heartbeat)
 
-    def stop(self, kill_busy: bool = True) -> None:
-        """Bring every worker down; with ``kill_busy`` the in-flight
-        jobs are abandoned (the scheduler journals them as retryable)."""
+    def stop(self) -> None:
+        """Bring every worker down, killing busy ones (the node releases
+        their leases)."""
         self._stopped = True
         for worker in self._workers:
-            if worker.busy and not kill_busy:
-                continue
             try:
                 worker.conn.send(("stop",))
             except (OSError, BrokenPipeError):
                 pass
         for worker in self._workers:
-            if worker.busy and kill_busy:
+            if worker.busy:
                 self._kill(worker)
             worker.proc.join(timeout=5.0)
             if worker.proc.is_alive():  # pragma: no cover - stubborn worker
@@ -367,16 +362,15 @@ class ProcessWorkerPool:
     def busy_count(self) -> int:
         return sum(1 for w in self._workers if w.busy)
 
+    def connections(self) -> list:
+        """The workers' result pipes, for a caller to wait on."""
+        return [w.conn for w in self._workers]
+
     def pids(self) -> List[int]:
         return [w.pid for w in self._workers if w.pid is not None]
 
     def busy_pids(self) -> List[int]:
         return [w.pid for w in self._workers if w.busy and w.pid is not None]
-
-    def busy_jobs(self) -> List[Tuple[str, SweepJob]]:
-        """``(job_id, job)`` for every in-flight job — what a draining
-        node must requeue (release its leases) before exiting."""
-        return [(w.job_id, w.job) for w in self._workers if w.busy]
 
     def stats(self) -> dict:
         snapshot = self.counters.snapshot()
@@ -387,13 +381,3 @@ class ProcessWorkerPool:
         )
         return snapshot
 
-
-def kill_process(pid: int) -> bool:
-    """SIGKILL ``pid``; True if the signal was delivered (chaos tests)."""
-    import signal
-
-    try:
-        os.kill(pid, signal.SIGKILL)
-        return True
-    except (OSError, ProcessLookupError):
-        return False

@@ -616,7 +616,7 @@ def run_sweep(
     # cell and closed in the finally, so a Ctrl-C / scheduler kill yields
     # a partial SweepReport (``interrupted=True``) instead of dying
     # mid-write.  Handlers can only live in the main thread; elsewhere
-    # (e.g. service scheduler workers) the sweep runs unhooked.
+    # (e.g. a caller's worker thread) the sweep runs unhooked.
     previous_handlers: Dict[int, object] = {}
     if threading.current_thread() is threading.main_thread():
 

@@ -2,12 +2,11 @@
 
 The interval sampler (:mod:`repro.telemetry.probes`) answers "what did
 *one simulation* do over time"; :class:`CounterSet` answers "what has
-*this process* done since it started" — cache hits, scheduler
-admissions, HTTP requests.  It is the common currency the service
-subsystem (:mod:`repro.service`) exports through ``/metricsz``.
+*this process* done since it started" — cache hits, admissions, HTTP
+requests.  It is the common currency the service subsystem
+(:mod:`repro.service`) exports through ``/metricsz``.
 
-Counters are monotonic integers; gauges are set-to-current values (queue
-depth, bytes on disk).  Both are safe to bump from any thread, and
+Counters are monotonic numbers, safe to bump from any thread, and
 :meth:`CounterSet.snapshot` returns a plain JSON-safe dict.
 """
 
@@ -20,12 +19,11 @@ Number = Union[int, float]
 
 
 class CounterSet:
-    """A named bag of monotonic counters and settable gauges."""
+    """A named bag of monotonic counters."""
 
     def __init__(self, **initial: Number) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Number] = dict(initial)
-        self._gauges: Dict[str, Number] = {}
 
     def inc(self, name: str, amount: Number = 1) -> Number:
         """Add ``amount`` to counter ``name`` (created at 0); returns it."""
@@ -36,21 +34,12 @@ class CounterSet:
             self._counters[name] = value
             return value
 
-    def set_gauge(self, name: str, value: Number) -> None:
-        """Set gauge ``name`` to its current ``value`` (may move down)."""
-        with self._lock:
-            self._gauges[name] = value
-
     def get(self, name: str) -> Number:
-        """Current value of counter or gauge ``name`` (0 if never touched)."""
+        """Current value of counter ``name`` (0 if never touched)."""
         with self._lock:
-            if name in self._counters:
-                return self._counters[name]
-            return self._gauges.get(name, 0)
+            return self._counters.get(name, 0)
 
     def snapshot(self) -> Dict[str, Number]:
-        """JSON-safe copy of every counter and gauge at this instant."""
+        """JSON-safe copy of every counter at this instant."""
         with self._lock:
-            merged = dict(self._counters)
-            merged.update(self._gauges)
-            return merged
+            return dict(self._counters)

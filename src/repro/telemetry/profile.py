@@ -71,11 +71,9 @@ class RateMeter:
     def __init__(self) -> None:
         self._started = time.perf_counter()
         self.cycles = 0
-        self.instructions = 0
 
-    def add(self, cycles: int, instructions: int = 0) -> None:
+    def add(self, cycles: int) -> None:
         self.cycles += cycles
-        self.instructions += instructions
 
     @property
     def elapsed(self) -> float:

@@ -120,6 +120,7 @@ class WorkloadProfile:
             raise ValueError(f"ilp_class must be one of {ILP_CLASSES}")
         if not self.phases:
             raise ValueError("a workload needs at least one phase")
+        object.__setattr__(self, "phases", tuple(self.phases))  # hashable
 
     @property
     def classification(self) -> str:

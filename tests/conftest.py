@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import time
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,48 @@ def fresh_seq():
     """Reset-free monotonically increasing sequence factory."""
     counter = itertools.count()
     return lambda: next(counter)
+
+
+class GateRunner:
+    """A service job runner whose FIRST execution blocks until
+    :meth:`release` — the deterministic way to hold a worker busy while
+    more submissions land.  Counts every execution.
+
+    The service runs jobs in forked worker processes, so the runner
+    keeps its state in files under ``root``, not in memory.
+    """
+
+    def __init__(self, root) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def __call__(self, sweep_job, _trace_cache=None):
+        from repro.sim.harness import _run_job
+
+        with open(self.root / "calls", "a") as handle:
+            handle.write(sweep_job.key + "\n")
+        if len(self.calls) == 1:
+            (self.root / "entered").touch()
+            deadline = time.monotonic() + 60.0
+            while not (self.root / "released").exists():
+                assert time.monotonic() < deadline, "gate never released"
+                time.sleep(0.01)
+        return _run_job(sweep_job, _trace_cache)
+
+    @property
+    def calls(self) -> list:
+        try:
+            return (self.root / "calls").read_text().splitlines()
+        except FileNotFoundError:
+            return []
+
+    def wait_entered(self, timeout: float = 30.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while not (self.root / "entered").exists():
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
+    def release(self) -> None:
+        (self.root / "released").touch()

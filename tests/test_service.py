@@ -3,31 +3,33 @@
 The acceptance demos live here: two identical submissions simulate once
 (single-flight), a server restart followed by the same submission is a
 warm-cache hit with no re-simulation, and a drain shutdown under load
-completes every accepted job or persists it as retryable.
+completes every accepted job or leaves it queued for the next start.
+Everything goes through :class:`ReproService` and its HTTP API.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import GateRunner
 from repro.config import MEDIUM
 from repro.service import (
-    BacklogFull,
-    JobScheduler,
     ReproService,
     ResultCache,
     SchedulerClosed,
     ServiceClient,
     ServiceError,
-    UnknownJob,
+    cache_key,
     job_from_dict,
     job_to_dict,
 )
-from repro.sim.harness import SweepJob, _run_job
+from repro.sim.harness import SweepJob
 from repro.sim.results import SimResult
 from repro.sim.simulator import simulate
 
@@ -38,34 +40,33 @@ def job(workload="exchange2", policy="age", **kwargs):
     return SweepJob(workload, policy, MEDIUM, N, **kwargs)
 
 
-class GateRunner:
-    """A job runner whose FIRST execution blocks until released — the
-    deterministic way to hold the (single) worker busy while more
-    submissions land.  Counts every execution."""
-
-    def __init__(self):
-        self.calls = []
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def __call__(self, sweep_job, _trace_cache=None):
-        self.calls.append(sweep_job.key)
-        if len(self.calls) == 1:
-            self.entered.set()
-            assert self.release.wait(timeout=60), "gate never released"
-        return _run_job(sweep_job, _trace_cache)
+def spec(policy="age", **kwargs):
+    return {"workload": "exchange2", "policy": policy,
+            "num_instructions": N, **kwargs}
 
 
-def wait_state(scheduler, job_id, state, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if scheduler.record(job_id).state == state:
-            return
-        time.sleep(0.01)
-    raise AssertionError(
-        f"job {job_id} never reached {state!r} "
-        f"(is {scheduler.record(job_id).state!r})"
-    )
+def key_of(policy="age"):
+    return job(policy=policy).key
+
+
+@pytest.fixture
+def gated(tmp_path):
+    """A one-worker service whose first job blocks until released."""
+    services = []
+
+    def make(**kwargs):
+        runner = GateRunner(tmp_path / "gate")
+        kwargs.setdefault("workers", 1)
+        svc = ReproService(job_runner=runner, **kwargs).start()
+        services.append((svc, runner))
+        client = ServiceClient(svc.url, max_retries=0)
+        client.wait_healthy()
+        return svc, runner, client
+
+    yield make
+    for svc, runner in services:
+        runner.release()
+        svc.stop(drain=False)
 
 
 class TestJobWireFormat:
@@ -95,200 +96,244 @@ class TestJobWireFormat:
 
 class TestSchedulerCore:
     def test_result_matches_direct_simulation(self, tmp_path):
-        scheduler = JobScheduler(cache=ResultCache(tmp_path), workers=1)
+        svc = ReproService(cache_dir=tmp_path, workers=1).start()
         try:
-            record = scheduler.submit(job())
-            result = scheduler.result(record.id, wait=True, timeout=120)
+            client = ServiceClient(svc.url)
+            record = client.submit(**spec())
+            result = client.wait_result(record["id"], timeout=120)
             direct = simulate("exchange2", "age", num_instructions=N)
             assert isinstance(result, SimResult)
             assert result.ipc == direct.ipc
             assert result.commit_digest == direct.commit_digest
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
-    def test_single_flight_identical_submissions_simulate_once(self, tmp_path):
+    def test_single_flight_identical_submissions_simulate_once(
+        self, gated, tmp_path
+    ):
         """Acceptance: two identical `submit` calls simulate once."""
-        runner = GateRunner()
-        scheduler = JobScheduler(
-            cache=ResultCache(tmp_path), workers=1, job_runner=runner
-        )
-        try:
-            first = scheduler.submit(job())
-            assert runner.entered.wait(timeout=30)
-            second = scheduler.submit(job())     # identical, while in flight
-            assert second.deduped and not second.cached
-            runner.release.set()
-            result_a = scheduler.result(first.id, wait=True, timeout=120)
-            result_b = scheduler.result(second.id, wait=True, timeout=120)
-            assert result_a is result_b          # literally the same object
-            assert result_a.ok
-            assert len(runner.calls) == 1        # one simulation, ever
-            metrics = scheduler.metrics()
-            assert metrics["deduped"] == 1
-            assert metrics["submitted"] == 2
-            assert metrics["completed"] == 1
-        finally:
-            scheduler.shutdown()
+        svc, runner, client = gated(cache_dir=tmp_path / "cache")
+        first = client.submit(**spec())
+        assert runner.wait_entered()
+        second = client.submit(**spec())     # identical, while in flight
+        assert not second["cached"]
+        runner.release()
+        result_a = client.wait_result(first["id"], timeout=120)
+        result_b = client.wait_result(second["id"], timeout=120)
+        assert result_a.to_dict() == result_b.to_dict()
+        assert result_a.ok
+        assert len(runner.calls) == 1        # one simulation, ever
+        assert client.status(second["id"])["deduped"]
+        metrics = client.metricsz()["scheduler"]
+        assert metrics["deduped"] == 1
+        assert metrics["submitted"] == 2
+        assert metrics["completed"] == 1
 
-    def test_priority_orders_the_backlog(self, tmp_path):
-        runner = GateRunner()
-        scheduler = JobScheduler(workers=1, job_runner=runner)
-        try:
-            blocker = scheduler.submit(job())
-            assert runner.entered.wait(timeout=30)
-            low = scheduler.submit(job(policy="shift"), priority=0)
-            high = scheduler.submit(job(policy="swque"), priority=10)
-            runner.release.set()
-            scheduler.result(low.id, wait=True, timeout=120)
-            scheduler.result(high.id, wait=True, timeout=120)
-            # The high-priority cell ran before the earlier-submitted low one.
-            assert runner.calls[1] == high.job.key
-            assert runner.calls[2] == low.job.key
-            assert scheduler.record(blocker.id).terminal
-        finally:
-            scheduler.shutdown()
+    def test_priority_orders_the_backlog(self, gated):
+        svc, runner, client = gated()
+        blocker = client.submit(**spec())
+        assert runner.wait_entered()
+        low = client.submit(**spec(policy="shift"), priority=0)
+        high = client.submit(**spec(policy="swque"), priority=10)
+        runner.release()
+        client.wait_result(low["id"], timeout=120)
+        client.wait_result(high["id"], timeout=120)
+        # The high-priority cell ran before the earlier-submitted low one.
+        assert runner.calls[1] == key_of("swque")
+        assert runner.calls[2] == key_of("shift")
+        assert client.status(blocker["id"])["state"] == "done"
 
-    def test_backpressure_rejects_when_backlog_full(self):
-        runner = GateRunner()
-        scheduler = JobScheduler(workers=1, max_backlog=2, job_runner=runner)
-        try:
-            scheduler.submit(job())              # occupies the worker
-            assert runner.entered.wait(timeout=30)
-            # Priority > 0 bypasses the shed watermark, so these two hit
-            # the hard backlog bound itself.
-            scheduler.submit(job(policy="shift"), priority=1)
-            scheduler.submit(job(policy="swque"), priority=1)
-            with pytest.raises(BacklogFull, match="backlog full"):
-                scheduler.submit(job(policy="circ"), priority=1)
-            assert scheduler.metrics()["rejected_backlog"] == 1
-        finally:
-            runner.release.set()
-            scheduler.shutdown()
+    def test_backpressure_rejects_when_backlog_full(self, gated):
+        svc, runner, client = gated(max_backlog=2)
+        client.submit(**spec())              # occupies the worker
+        assert runner.wait_entered()
+        # Priority > 0 bypasses the shed watermark, so these two hit
+        # the hard backlog bound itself.
+        client.submit(**spec(policy="shift"), priority=1)
+        client.submit(**spec(policy="swque"), priority=1)
+        with pytest.raises(ServiceError, match="backlog full") as excinfo:
+            client.submit(**spec(policy="circ"), priority=1)
+        assert excinfo.value.status == 429
+        assert client.metricsz()["scheduler"]["rejected_backlog"] == 1
 
-    def test_load_shedding_rejects_low_priority_past_watermark(self):
-        runner = GateRunner()
-        scheduler = JobScheduler(workers=1, max_backlog=4, job_runner=runner,
-                                 shed_watermark=0.5)
-        try:
-            scheduler.submit(job())              # occupies the worker
-            assert runner.entered.wait(timeout=30)
-            scheduler.submit(job(policy="shift"))
-            scheduler.submit(job(policy="swque"))
-            # 2 queued >= 0.5 * 4: priority-0 work is shed...
-            with pytest.raises(BacklogFull, match="load shedding"):
-                scheduler.submit(job(policy="circ"))
-            # ...but urgent work is still admitted.
-            urgent = scheduler.submit(job(policy="circ"), priority=5)
-            assert urgent.state == "queued"
-            assert scheduler.metrics()["shed"] == 1
-        finally:
-            runner.release.set()
-            scheduler.shutdown()
+    def test_load_shedding_rejects_low_priority_past_watermark(self, gated):
+        svc, runner, client = gated(max_backlog=4, shed_watermark=0.5)
+        client.submit(**spec())              # occupies the worker
+        assert runner.wait_entered()
+        client.submit(**spec(policy="shift"))
+        client.submit(**spec(policy="swque"))
+        # 2 queued >= 0.5 * 4: priority-0 work is shed...
+        with pytest.raises(ServiceError, match="load shedding"):
+            client.submit(**spec(policy="circ"))
+        # ...but urgent work is still admitted.
+        urgent = client.submit(**spec(policy="circ"), priority=5)
+        assert urgent["state"] == "queued"
+        assert client.metricsz()["scheduler"]["shed"] == 1
 
     def test_submit_after_shutdown_is_rejected(self):
-        scheduler = JobScheduler(workers=1)
-        scheduler.shutdown()
+        svc = ReproService(workers=1)
+        svc.stop()
         with pytest.raises(SchedulerClosed):
-            scheduler.submit(job())
+            svc.admit(spec())
 
     def test_unknown_job_id(self):
-        scheduler = JobScheduler(workers=1)
+        svc = ReproService(workers=1).start()
         try:
-            with pytest.raises(UnknownJob):
-                scheduler.record("j999999")
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(svc.url).status("j999999")
+            assert excinfo.value.status == 404
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
     def test_harness_failure_becomes_failed_record(self):
         # A diverging cell: the harness retries, then reports FailedResult.
-        scheduler = JobScheduler(workers=1, retries=0)
+        svc = ReproService(workers=1, retries=0).start()
         try:
-            record = scheduler.submit(job(max_cycles=300))
-            result = scheduler.result(record.id, wait=True, timeout=120)
+            client = ServiceClient(svc.url)
+            record = client.submit(**spec(max_cycles=300))
+            result = client.wait_result(record["id"], timeout=120)
             assert not result.ok
             assert result.error_type == "SimulationDiverged"
-            assert scheduler.record(record.id).state == "failed"
-            assert scheduler.metrics()["failed"] == 1
+            assert client.status(record["id"])["state"] == "failed"
+            assert client.metricsz()["scheduler"]["failed"] == 1
         finally:
-            scheduler.shutdown()
+            svc.stop()
+
+
+class TestConcurrentAdmission:
+    def test_concurrent_submissions_settle_once_each(self, tmp_path):
+        """HTTP threads and the local node share one queue handle.  With
+        more client threads than cores and a short switch interval,
+        every submission gets its own id and exactly one envelope, and
+        each distinct spec is simulated once."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = ReproService(cache_dir=tmp_path, workers=2).start()
+        try:
+            def client_thread(index):
+                client = ServiceClient(svc.url)
+                ids = [client.submit(**spec(("age", "swque")[(index + k) % 2]))
+                       ["id"] for k in range(4)]
+                return [(job_id, client.wait_result(job_id, timeout=120).ok)
+                        for job_id in ids]
+
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(client_thread, i) for i in range(6)]
+                answers = [a for f in futures for a in f.result(timeout=300)]
+            ids = [job_id for job_id, _ in answers]
+            assert all(ok for _, ok in answers)
+            assert len(set(ids)) == len(ids) == 24
+            envelopes = list((tmp_path / "queue" / "results").glob("*.json"))
+            assert sorted(e.stem for e in envelopes) == sorted(ids)
+            metrics = ServiceClient(svc.url).metricsz()["scheduler"]
+            assert metrics["submitted"] == 24
+            assert metrics["completed"] == 2
+        finally:
+            sys.setswitchinterval(interval)
+            svc.stop()
+
+
+    def test_token_converges_on_a_cache_hit(self, tmp_path):
+        """Retried POSTs of one token get the first post's job id when
+        the job is a cache hit: concurrent posts on one frontend, and a
+        retry on another frontend over the same queue and cache."""
+        cache_dir, queue_dir = tmp_path / "cache", tmp_path / "queue"
+        ResultCache(cache_dir).put(cache_key(job()), simulate(
+            "exchange2", "age", MEDIUM, num_instructions=N))
+        first = ReproService(cache_dir=cache_dir, queue_dir=queue_dir)
+        second = ReproService(cache_dir=cache_dir, queue_dir=queue_dir)
+        try:
+            payload = dict(spec(), token="retry-me")
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                records = list(pool.map(
+                    lambda _: first.admit(dict(payload)), range(8)))
+            assert records[0]["cached"]
+            assert {record["id"] for record in records} == {records[0]["id"]}
+            assert second.admit(dict(payload))["id"] == records[0]["id"]
+            assert first.jobs.get("cache_hits") == 1
+        finally:
+            first.stop()
+            second.stop()
 
 
 class TestDrainAndSpill:
-    def test_drain_completes_every_accepted_job(self):
+    def test_drain_completes_every_accepted_job(self, tmp_path):
         """Acceptance: drain shutdown under load completes accepted work."""
-        scheduler = JobScheduler(workers=2)
+        svc = ReproService(cache_dir=tmp_path, workers=2)
         records = [
-            scheduler.submit(job(policy=policy))
+            svc.admit(spec(policy=policy))
             for policy in ("shift", "age", "circ", "swque")
         ]
-        outcome = scheduler.shutdown(drain=True)
-        assert outcome == {"drained": True, "spilled": 0}
+        outcome = svc.stop(drain=True)
+        assert outcome == {"drained": True, "requeued": 0}
         for record in records:
-            assert scheduler.record(record.id).state == "done"
-            assert scheduler.record(record.id).result.ok
+            status, payload = svc.result_payload(record["id"], wait=False,
+                                                 timeout=0)
+            assert status == 200 and payload["state"] == "done"
+            assert payload["result"]["stats"]["committed"] > 0
 
     def test_drain_timeout_spills_queued_jobs_as_retryable(self, tmp_path):
-        """Acceptance: what drain cannot finish is persisted, not lost."""
-        spill = tmp_path / "pending.jsonl"
-        runner = GateRunner()
-        scheduler = JobScheduler(workers=1, spill_path=spill, job_runner=runner)
-        running = scheduler.submit(job())
-        assert runner.entered.wait(timeout=30)
+        """Acceptance: what drain cannot finish stays queued, not lost."""
+        cache_dir = tmp_path / "cache"
+        runner = GateRunner(tmp_path / "gate")
+        svc = ReproService(cache_dir=cache_dir, workers=1, job_runner=runner)
+        running = svc.admit(spec())
+        assert runner.wait_entered()
         queued = [
-            scheduler.submit(job(policy="shift"), priority=3),
-            scheduler.submit(job(policy="swque")),
+            svc.admit(spec(policy="shift", priority=3)),
+            svc.admit(spec(policy="swque")),
         ]
         outcome = {}
         shutdown = threading.Thread(
-            target=lambda: outcome.update(
-                scheduler.shutdown(drain=True, timeout=0.2)
-            )
+            target=lambda: outcome.update(svc.stop(drain=True, timeout=0.2))
         )
         shutdown.start()
         time.sleep(0.8)                   # let the drain window expire
-        runner.release.set()              # now let the running job finish
+        runner.release()
         shutdown.join(timeout=120)
         assert not shutdown.is_alive()
-        assert outcome == {"drained": False, "spilled": 2}
-        # The running job completed; the queued ones are retryable on disk.
-        assert scheduler.record(running.id).state == "done"
-        for record in queued:
-            assert scheduler.record(record.id).state == "retryable"
-        lines = [json.loads(l) for l in spill.read_text().splitlines()]
-        assert {l["policy"] for l in lines} == {"shift", "swque"}
-        assert {l["priority"] for l in lines} == {3, 0}
+        # The gated job's lease was released, not charged: all three
+        # jobs wait in the durable queue as retryable.
+        assert outcome == {"drained": False, "requeued": 3}
+        for record in [running] + queued:
+            assert svc.status_payload(record["id"])["state"] == "queued"
 
-        # A fresh scheduler picks the spilled jobs back up and runs them.
-        recovered_scheduler = JobScheduler(workers=1, spill_path=spill)
+        # A fresh service on the same cache dir runs them.
+        restarted = ReproService(cache_dir=cache_dir, workers=1).start()
         try:
-            recovered = recovered_scheduler.recover_spilled()
-            assert len(recovered) == 2
-            assert not spill.exists()     # consumed
-            for record in recovered:
-                result = recovered_scheduler.result(
-                    record.id, wait=True, timeout=120
-                )
-                assert result.ok
-            assert recovered_scheduler.metrics()["recovered"] == 2
+            client = ServiceClient(restarted.url)
+            assert client.healthz()["recovered_jobs"] == 3
+            for record in [running] + queued:
+                assert client.wait_result(record["id"], timeout=120).ok
+                status = client.status(record["id"])
+                assert status["crashes"] == 0
+            assert {client.status(r["id"])["priority"] for r in queued} == {
+                3, 0}
         finally:
-            recovered_scheduler.shutdown()
+            restarted.stop()
 
     def test_corrupt_spill_lines_are_skipped(self, tmp_path):
-        spill = tmp_path / "pending.jsonl"
+        # A drain spill written by the pre-queue service is imported once.
+        spill = tmp_path / "pending-jobs.jsonl"
         spill.write_text(
             json.dumps(job_to_dict(job())) + "\n"
             + '{"workload": "exchange2", "pol\n'        # torn line
             + json.dumps({"workload": "gcc", "policy": "age"}) + "\n"
         )
-        runner = GateRunner()
-        runner.release.set()              # no gating needed here
-        scheduler = JobScheduler(workers=1, spill_path=spill)
+        svc = ReproService(cache_dir=tmp_path, workers=1).start()
         try:
-            recovered = scheduler.recover_spilled()
-            assert len(recovered) == 1    # torn + unknown-workload skipped
-            assert scheduler.metrics()["spill_corrupt_lines"] == 2
+            client = ServiceClient(svc.url)
+            assert client.healthz()["recovered_jobs"] == 1
+            metrics = client.metricsz()["scheduler"]
+            assert metrics["legacy_skipped"] == 2   # torn + unknown workload
+            assert not spill.exists()     # consumed
+            assert (tmp_path / "pending-jobs.jsonl.imported").exists()
+            deadline = time.monotonic() + 120
+            while client.metricsz()["scheduler"]["completed"] < 1:
+                assert time.monotonic() < deadline, "spilled job never ran"
+                time.sleep(0.05)
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
 
 @pytest.fixture
@@ -345,21 +390,14 @@ class TestHttpApi:
         for admitted in (records[0], records[2]):
             assert ServiceClient(service.url).wait_result(admitted["id"]).ok
 
-    def test_pending_result_is_202_without_wait(self, tmp_path):
-        runner = GateRunner()
-        svc = ReproService(cache_dir=None, workers=1, job_runner=runner).start()
-        try:
-            client = ServiceClient(svc.url)
-            client.wait_healthy()
-            record = client.submit(workload="exchange2", policy="age",
-                                   num_instructions=N)
-            assert runner.entered.wait(timeout=30)
-            pending = client.result(record["id"])     # no wait: still running
-            assert pending["state"] == "running"
-            assert "result" not in pending
-        finally:
-            runner.release.set()
-            svc.stop(drain=True, timeout=60)
+    def test_pending_result_is_202_without_wait(self, gated):
+        svc, runner, client = gated(cache_dir=None)
+        record = client.submit(workload="exchange2", policy="age",
+                               num_instructions=N)
+        assert runner.wait_entered()
+        pending = client.result(record["id"])     # no wait: still running
+        assert pending["state"] == "running"
+        assert "result" not in pending
 
     def test_api_errors(self, service):
         client = ServiceClient(service.url)
@@ -373,31 +411,23 @@ class TestHttpApi:
             client._request("/nowhere")
         assert excinfo.value.status == 404
 
-    def test_backlog_full_maps_to_429(self, tmp_path):
-        runner = GateRunner()
-        svc = ReproService(cache_dir=None, workers=1, max_backlog=1,
-                           job_runner=runner).start()
-        try:
-            client = ServiceClient(svc.url)
-            client.wait_healthy()
-            client.submit(workload="exchange2", policy="age",
+    def test_backlog_full_maps_to_429(self, gated):
+        svc, runner, client = gated(cache_dir=None, max_backlog=1)
+        client.submit(workload="exchange2", policy="age",
+                      num_instructions=N)
+        assert runner.wait_entered()
+        client.submit(workload="exchange2", policy="shift",
+                      num_instructions=N)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(workload="exchange2", policy="swque",
                           num_instructions=N)
-            assert runner.entered.wait(timeout=30)
-            client.submit(workload="exchange2", policy="shift",
-                          num_instructions=N)
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit(workload="exchange2", policy="swque",
-                              num_instructions=N)
-            assert excinfo.value.status == 429
-        finally:
-            runner.release.set()
-            svc.stop(drain=True, timeout=60)
+        assert excinfo.value.status == 429
 
     def test_metricsz_exports_all_three_counter_groups(self, service):
         metrics = ServiceClient(service.url).metricsz()
         assert metrics["server"]["requests"] >= 1
         for key in ("submitted", "completed", "deduped", "queued",
-                    "cycles_per_sec", "workers"):
+                    "rate_limited", "workers"):
             assert key in metrics["scheduler"]
         for key in ("hits", "misses", "stores", "evictions", "entries",
                     "bytes"):
@@ -419,7 +449,7 @@ class TestWarmRestart:
 
         # A fresh process, same cache directory.  The counting runner
         # proves no simulation happens: it is never invoked.
-        runner = GateRunner()
+        runner = GateRunner(tmp_path / "gate")
         second_service = ReproService(
             cache_dir=cache_dir, workers=1, job_runner=runner
         ).start()

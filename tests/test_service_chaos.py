@@ -1,10 +1,12 @@
-"""Chaos tests for the fleet-grade service layer (ISSUE 6).
+"""Chaos tests for the service layer.
 
-Every test here injects a real fault — SIGKILLed workers, SIGSTOPped
-(hung) workers, torn write-ahead journals, failing cache backends — and
-asserts the service's contract under it: an accepted job is either
-completed with a valid result or reported as quarantined; it is never
-silently lost, and the cache is never corrupted.
+Every test here injects a real fault — SIGKILLed workers and servers,
+SIGSTOPped (hung) workers, torn journals of the pre-queue service,
+failing cache backends — and asserts the service's contract under it:
+an accepted job is either completed with a valid result or reported as
+quarantined; it is never silently lost, and the cache is never
+corrupted.  Everything goes through :class:`ReproService` and its HTTP
+API.
 
 The process-pool runners below are plain module functions: the pool
 forks its workers, so the runner (and any sentinel paths baked into a
@@ -15,27 +17,34 @@ with every respawned worker.
 
 import itertools
 import json
+import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import pytest
 
+from conftest import GateRunner
 from repro.config import get_config
 from repro.service import (
     CircuitBreaker,
-    JobJournal,
-    JobScheduler,
-    RateLimited,
+    ReproService,
     ResultCache,
     ServiceClient,
     ServiceError,
     TokenBucket,
     cache_key,
 )
+from repro.service import queue as queue_module
+from repro.service import server as server_module
+from repro.service.queue import DurableQueue
 from repro.sim.harness import SweepJob, _run_job
 
 MEDIUM = get_config("medium")
@@ -80,257 +89,391 @@ def slow_runner(sweep_job, _trace_cache=None):
     return _run_job(sweep_job, _trace_cache)  # pragma: no cover
 
 
-def wait_terminal(scheduler, job_id, timeout=60.0):
-    result = scheduler.result(job_id, wait=True, timeout=timeout)
-    record = scheduler.record(job_id)
-    assert record.terminal, f"job {job_id} still {record.state!r}"
+def spec(policy="age", **kwargs):
+    return {"workload": "exchange2", "policy": policy,
+            "num_instructions": N, **kwargs}
+
+
+def wait_terminal(client, job_id, timeout=60.0):
+    result = client.wait_result(job_id, timeout=timeout)
+    record = client.status(job_id)
+    assert record["state"] in ("done", "failed", "quarantined"), record
     return record, result
+
+
+def serving(**kwargs):
+    """A started one-worker service and a client for it."""
+    kwargs.setdefault("workers", 1)
+    svc = ReproService(**kwargs).start()
+    client = ServiceClient(svc.url, max_retries=0)
+    client.wait_healthy()
+    return svc, client
 
 
 class TestWorkerCrashRecovery:
     def test_sigkilled_worker_is_restarted_and_job_requeued(self, tmp_path):
         runner = partial(crash_once_runner, str(tmp_path / "crashed"))
-        scheduler = JobScheduler(
-            workers=1, job_runner=runner, pool="process", max_job_crashes=2
-        )
+        svc, client = serving(job_runner=runner, max_job_crashes=2)
         try:
-            record = scheduler.submit(job())
-            record, result = wait_terminal(scheduler, record.id)
-            assert record.state == "done" and result.ok
-            assert record.crashes == 1
-            metrics = scheduler.metrics()
-            assert metrics["requeued"] == 1
-            assert metrics["worker_pool"]["worker_crashes"] == 1
-            assert metrics["worker_pool"]["worker_restarts"] >= 1
-            assert metrics["worker_pool"]["alive"] == 1
+            record = client.submit(**spec())
+            record, result = wait_terminal(client, record["id"])
+            assert record["state"] == "done" and result.ok
+            assert record["crashes"] == 1
+            node = client.metricsz()["node"]
+            assert node["worker_losses"] == 1
+            assert node["pool"]["worker_crashes"] == 1
+            assert node["pool"]["worker_restarts"] >= 1
+            assert node["pool"]["alive"] == 1
         finally:
-            scheduler.shutdown(drain=False)
+            svc.stop(drain=False)
 
     def test_poison_job_is_quarantined_while_others_complete(self, tmp_path):
-        scheduler = JobScheduler(
-            workers=1, job_runner=crash_policy_runner, pool="process",
-            max_job_crashes=1,
-        )
+        svc, client = serving(job_runner=crash_policy_runner,
+                              max_job_crashes=1)
         try:
-            poison = scheduler.submit(job(policy="circ"))
-            healthy = scheduler.submit(job(policy="age"))
+            poison = client.submit(**spec(policy="circ"))
+            healthy = client.submit(**spec(policy="age"))
             poison_record, poison_result = wait_terminal(
-                scheduler, poison.id, timeout=90.0
+                client, poison["id"], timeout=90.0
             )
-            assert poison_record.state == "quarantined"
+            assert poison_record["state"] == "quarantined"
             assert poison_result is not None and not poison_result.ok
             assert poison_result.error_type == "PoisonJob"
-            assert poison_record.crashes == 2  # max_job_crashes + 1 losses
+            assert poison_record["crashes"] == 2  # max_job_crashes + 1 losses
             healthy_record, healthy_result = wait_terminal(
-                scheduler, healthy.id, timeout=90.0
+                client, healthy["id"], timeout=90.0
             )
-            assert healthy_record.state == "done" and healthy_result.ok
-            assert scheduler.metrics()["quarantined"] == 1
+            assert healthy_record["state"] == "done" and healthy_result.ok
+            assert client.metricsz()["scheduler"]["quarantined"] == 1
         finally:
-            scheduler.shutdown(drain=False)
+            svc.stop(drain=False)
 
     def test_hung_worker_is_detected_killed_and_replaced(self, tmp_path):
         runner = partial(hang_once_runner, str(tmp_path / "hung"))
-        scheduler = JobScheduler(
-            workers=1, job_runner=runner, pool="process",
-            heartbeat_interval=0.05, heartbeat_timeout=1.0,
-        )
+        svc, client = serving(job_runner=runner, heartbeat_timeout=1.0)
         try:
-            record = scheduler.submit(job())
-            record, result = wait_terminal(scheduler, record.id, timeout=90.0)
-            assert record.state == "done" and result.ok
-            assert scheduler.metrics()["worker_pool"]["worker_hangs"] == 1
+            record = client.submit(**spec())
+            record, result = wait_terminal(client, record["id"], timeout=90.0)
+            assert record["state"] == "done" and result.ok
+            assert client.metricsz()["node"]["pool"]["worker_hangs"] == 1
         finally:
-            scheduler.shutdown(drain=False)
+            svc.stop(drain=False)
 
     def test_job_over_wallclock_budget_times_out_then_quarantines(self):
-        scheduler = JobScheduler(
-            workers=1, job_runner=slow_runner, pool="process",
-            timeout=0.5, max_job_crashes=0,
-        )
+        svc, client = serving(job_runner=slow_runner, timeout=0.5,
+                              max_job_crashes=0)
         try:
-            record = scheduler.submit(job())
-            record, result = wait_terminal(scheduler, record.id, timeout=60.0)
-            assert record.state == "quarantined"
+            record = client.submit(**spec())
+            record, result = wait_terminal(client, record["id"], timeout=60.0)
+            assert record["state"] == "quarantined"
             assert "JobTimeout" in result.error_message
-            assert scheduler.metrics()["worker_pool"]["job_timeouts"] == 1
+            assert client.metricsz()["node"]["pool"]["job_timeouts"] == 1
         finally:
-            scheduler.shutdown(drain=False)
+            svc.stop(drain=False)
 
     def test_shutdown_spills_inflight_jobs_as_retryable(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        scheduler = JobScheduler(
-            workers=1, job_runner=slow_runner, pool="process", journal=wal
-        )
-        record = scheduler.submit(job())
+        cache_dir = tmp_path / "cache"
+        svc, client = serving(cache_dir=cache_dir, job_runner=slow_runner)
+        record = client.submit(**spec())
         deadline = time.monotonic() + 30.0
-        while scheduler.record(record.id).state != "running":
+        while client.status(record["id"])["state"] != "running":
             assert time.monotonic() < deadline, "job never started"
             time.sleep(0.02)
-        outcome = scheduler.shutdown(drain=True, timeout=0.3)
-        assert not outcome["drained"]
-        assert outcome["spilled"] == 1
-        assert scheduler.record(record.id).state == "retryable"
-        # The WAL still holds the accept: a fresh scheduler finishes it.
-        fresh = JobScheduler(workers=1, journal=JobJournal(wal), pool="thread")
+        outcome = svc.stop(drain=True, timeout=0.3)
+        assert outcome == {"drained": False, "requeued": 1}
+        assert svc.status_payload(record["id"])["state"] == "queued"
+        # The durable queue still holds it: a fresh service finishes it,
+        # and the interrupted run cost it no crash.
+        fresh, client = serving(cache_dir=cache_dir)
         try:
-            summary = fresh.recover_journal()
-            assert summary["recovered"] == 1
-            assert fresh.drain(timeout=90.0)
-            assert fresh.metrics()["completed"] == 1
-            assert fresh.journal.pending_count() == 0
+            _, result = wait_terminal(client, record["id"], timeout=90.0)
+            assert result.ok
+            assert client.metricsz()["scheduler"]["completed"] == 1
+            assert client.status(record["id"])["crashes"] == 0
         finally:
-            fresh.shutdown()
+            fresh.stop()
+
+
+def write_journal(path, records):
+    """A journal in the pre-queue single-node service's format."""
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def accept(job_id, priority=0, policy="age"):
+    return {
+        "op": "accept",
+        "id": job_id,
+        "job": {
+            "workload": "exchange2",
+            "policy": policy,
+            "config": "medium",
+            "num_instructions": N,
+            "seed": None,
+            "max_cycles": None,
+            "warmup_instructions": None,
+        },
+        "priority": priority,
+        "tenant": "default",
+    }
 
 
 class TestJournalRecovery:
-    def _accept(self, journal, job_id, priority=0, policy="age"):
-        journal.record_accept(
-            job_id,
-            {
-                "workload": "exchange2",
-                "policy": policy,
-                "config": "medium",
-                "num_instructions": N,
-                "seed": None,
-                "max_cycles": None,
-                "warmup_instructions": None,
-            },
-            priority=priority,
-        )
+    """Upgrade path: a ``jobs.wal`` left by the pre-queue service is
+    imported into the private queue once, then renamed ``*.imported``."""
 
     def test_torn_trailing_record_recovers_with_warning(self, tmp_path):
         wal = tmp_path / "jobs.wal"
-        journal = JobJournal(wal)
-        self._accept(journal, "j1")
-        self._accept(journal, "j2")
-        # Simulate a hard crash mid-append: truncate inside the last line.
+        write_journal(wal, [accept("j1"), accept("j2", policy="shift")])
+        # A hard crash mid-append: truncate inside the last line.
         raw = wal.read_bytes()
         wal.write_bytes(raw[: len(raw) - 17])
-        replay = JobJournal(wal)
         with pytest.warns(RuntimeWarning, match="torn/corrupt"):
-            pending, quarantined, torn = replay.recover()
-        assert torn == 1
-        assert [p["id"] for p in pending] == ["j1"]
-        # Post-recovery compaction rewrote a clean journal.
-        again = JobJournal(wal)
+            svc, client = serving(cache_dir=tmp_path)
+        try:
+            assert client.healthz()["recovered_jobs"] == 1
+            assert wait_terminal(client, "j1")[1].ok
+            with pytest.raises(ServiceError):
+                client.status("j2")
+        finally:
+            svc.stop()
+        assert not wal.exists() and (tmp_path / "jobs.wal.imported").exists()
+        # Imported once: the next start has nothing to replay or warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pending, _, torn = again.recover()
-        assert torn == 0 and len(pending) == 1
+            svc, client = serving(cache_dir=tmp_path)
+        try:
+            assert client.healthz()["recovered_jobs"] == 0
+        finally:
+            svc.stop()
 
     def test_hard_crash_recovery_reruns_every_accepted_job(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        crashed = JobJournal(wal)
-        for i, done in [(1, True), (2, False), (3, False)]:
-            self._accept(crashed, f"j{i}", priority=i)
-            if done:
-                crashed.record_done(f"j{i}")
-        # "Crash": the journal object is simply abandoned, nothing
-        # drained or compacted.  A fresh scheduler must pick up j2+j3.
-        scheduler = JobScheduler(workers=2, journal=JobJournal(wal),
-                                 pool="thread")
+        write_journal(tmp_path / "jobs.wal", [
+            accept("j1", priority=1), {"op": "done", "id": "j1"},
+            accept("j2", priority=2), accept("j3", priority=3),
+        ])
+        svc, client = serving(cache_dir=tmp_path, workers=2)
         try:
-            summary = scheduler.recover_journal()
-            assert summary["recovered"] == 2
-            assert summary["torn"] == 0
-            assert scheduler.drain(timeout=120.0)
-            assert scheduler.metrics()["completed"] >= 1
-            assert scheduler.journal.pending_count() == 0
+            assert client.healthz()["recovered_jobs"] == 2
+            for job_id in ("j2", "j3"):
+                record, result = wait_terminal(client, job_id, timeout=120.0)
+                assert record["state"] == "done" and result.ok
+            with pytest.raises(ServiceError):
+                client.status("j1")            # finished before the crash
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
     def test_accept_written_with_the_old_fast_flag_recovers_and_runs(
         self, tmp_path
     ):
         # Earlier builds wrote the removed engine switch into every job
-        # dict (``"fast": false``); such a journal must still replay.
-        wal = tmp_path / "jobs.wal"
-        wal.write_text(
+        # dict (``"fast": false``); such a journal must still import.
+        (tmp_path / "jobs.wal").write_text(
             '{"op": "accept", "id": "jold-000001", "job": {"workload": '
             '"exchange2", "policy": "age", "config": "medium", '
             '"num_instructions": 2500, "seed": null, "max_cycles": null, '
             '"warmup_instructions": null, "fast": false, "priority": 0, '
             '"tenant": "default"}, "priority": 0, "tenant": "default"}\n'
         )
-        scheduler = JobScheduler(workers=1, journal=JobJournal(wal),
-                                 pool="thread")
+        svc, client = serving(cache_dir=tmp_path)
         try:
-            summary = scheduler.recover_journal()
-            assert summary == {"recovered": 1, "quarantined": 0,
-                               "torn": 0, "skipped": 0}
-            assert scheduler.drain(timeout=120.0)
-            assert scheduler.metrics()["completed"] == 1
+            assert client.healthz()["recovered_jobs"] == 1
+            record, result = wait_terminal(client, "jold-000001", 120.0)
+            assert record["state"] == "done" and result.ok
+            assert client.metricsz()["scheduler"]["completed"] == 1
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
     def test_quarantine_tombstone_is_not_resurrected(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        journal = JobJournal(wal)
-        self._accept(journal, "j1")
-        journal.record_quarantine("j1", "WorkerCrashed: poison")
-        pending, quarantined, torn = JobJournal(wal).recover()
-        assert pending == []
-        assert [q["id"] for q in quarantined] == ["j1"]
+        write_journal(tmp_path / "jobs.wal", [
+            accept("j1"),
+            {"op": "quarantine", "id": "j1", "reason": "WorkerCrashed: x"},
+        ])
+        runner = GateRunner(tmp_path / "gate")
+        svc, client = serving(cache_dir=tmp_path, job_runner=runner)
+        try:
+            assert client.healthz()["recovered_jobs"] == 0
+            record, result = wait_terminal(client, "j1")
+            assert record["state"] == "quarantined"
+            assert result.error_type == "PoisonJob"
+        finally:
+            svc.stop()
+        assert runner.calls == []          # never run again
 
     def test_recovery_survives_legacy_id_collision(self, tmp_path):
-        """Regression: WAL accept ids from the dead process must never
-        collide with the restarted scheduler's fresh ids.  A collision
-        let ``record_done`` on the *old* accept tombstone the freshly
-        re-admitted job, un-journaling it — a second crash then lost it
-        permanently."""
-        wal = tmp_path / "jobs.wal"
-        crashed = JobJournal(wal)
-        # The ids a naive per-process counter would regenerate first.
-        self._accept(crashed, "j000001")
-        self._accept(crashed, "j000002", policy="shift")
-
-        release = threading.Event()
-
-        def gate_runner(sweep_job, _trace_cache=None):
-            assert release.wait(timeout=60), "gate never released"
-            return _run_job(sweep_job, _trace_cache)
-
-        scheduler = JobScheduler(workers=1, journal=JobJournal(wal),
-                                 job_runner=gate_runner, pool="thread")
+        """Journal ids of the dead process (``j000001`` is what a naive
+        per-process counter regenerates first) are kept on import and
+        never collide with the queue's own ids; both imported jobs stay
+        durably queued while unfinished, and a second start imports
+        nothing twice."""
+        write_journal(tmp_path / "jobs.wal", [
+            accept("j000001"), accept("j000002", policy="shift"),
+        ])
+        runner = GateRunner(tmp_path / "gate")
+        svc, client = serving(cache_dir=tmp_path, job_runner=runner)
         try:
-            summary = scheduler.recover_journal()
-            assert summary["recovered"] == 2
-            # Both re-admitted jobs are still journaled while unfinished:
-            # a crash right now must be able to recover them again.
-            assert scheduler.journal.pending_count() == 2
-            release.set()
-            assert scheduler.drain(timeout=120.0)
-            assert scheduler.journal.pending_count() == 0
+            assert client.healthz()["recovered_jobs"] == 2
+            assert runner.wait_entered()
+            fresh = client.submit(**spec(policy="swque"))
+            assert fresh["id"] not in ("j000001", "j000002")
+            # Both imported jobs are durable queue entries while
+            # unfinished: a crash right now would rerun them.
+            states = {client.status(j)["state"]
+                      for j in ("j000001", "j000002")}
+            assert states <= {"queued", "running"}
+            runner.release()
+            for job_id in ("j000001", "j000002", fresh["id"]):
+                assert wait_terminal(client, job_id, 120.0)[0]["state"] == (
+                    "done")
         finally:
-            release.set()
-            scheduler.shutdown()
+            runner.release()
+            svc.stop()
+        svc, client = serving(cache_dir=tmp_path)
+        try:
+            assert client.healthz()["recovered_jobs"] == 0
+            assert client.metricsz()["scheduler"]["completed"] == 3
+        finally:
+            svc.stop()
 
     def test_quarantine_history_survives_compaction_and_restart(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        journal = JobJournal(wal)
-        self._accept(journal, "j1")
-        journal.record_quarantine("j1", "WorkerCrashed: poison")
-        journal.compact()
-        pending, quarantined, torn = JobJournal(wal).recover()
-        assert pending == [] and torn == 0
-        assert [q["id"] for q in quarantined] == ["j1"]
-        # The reason survives too: operators inspect poison jobs after a
-        # restart, and recover() itself compacts — so round-trip again.
-        records = [json.loads(line) for line in
-                   wal.read_text().splitlines() if line.strip()]
-        tombs = [r for r in records if r["op"] == "quarantine"]
-        assert tombs and tombs[0]["reason"] == "WorkerCrashed: poison"
+        write_journal(tmp_path / "jobs.wal", [
+            accept("j1"),
+            {"op": "quarantine", "id": "j1", "reason": "WorkerCrashed: x"},
+        ])
+        for _ in range(2):  # the import, then a plain restart
+            svc, client = serving(cache_dir=tmp_path)
+            try:
+                record, result = wait_terminal(client, "j1")
+            finally:
+                svc.stop()
+            # The reason survives too: operators inspect poison jobs
+            # after a restart.
+            assert record["state"] == "quarantined"
+            assert "WorkerCrashed: x" in result.error_message
 
-    def test_compaction_bounds_journal_growth(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        journal = JobJournal(wal, compact_interval=10)
-        for i in range(50):
-            self._accept(journal, f"j{i}")
-            journal.record_done(f"j{i}")
-        assert journal.counters.get("compactions") >= 4
-        assert journal.pending_count() == 0
-        assert wal.read_bytes() == b""
+    def test_compaction_bounds_journal_growth(self, tmp_path, monkeypatch):
+        # The private queue keeps the journal's bound while the server
+        # runs: its intake segment is compacted every COMPACT_INTERVAL
+        # settled jobs, and the sweep deletes old envelopes.
+        monkeypatch.setattr(queue_module, "COMPACT_INTERVAL", 10)
+        svc, client = serving(lease_seconds=1.0)  # sweeps every second
+        try:
+            for _ in range(50):
+                wait_terminal(client, client.submit(**spec())["id"])
+            queue = svc.queue
+            assert queue.counters.get("compactions") >= 4
+            assert queue.pending_count() == 0
+            segment = queue.segments_dir / "seg-local.jsonl"
+            assert len(segment.read_text().splitlines()) < 10
+            monkeypatch.setattr(queue_module, "RESULT_GC_SECONDS", 0.0)
+            deadline = time.monotonic() + 30.0
+            while len(list(queue.results_dir.iterdir())) >= 10:
+                assert time.monotonic() < deadline, "results never swept"
+                time.sleep(0.05)
+            # Collected envelopes still count as settled work.
+            assert client.metricsz()["queue"]["outcomes"]["done"] == 50
+        finally:
+            svc.stop()
+
+
+class TestRestartRecovery:
+    def test_sigkilled_server_restart_reruns_inflight_jobs_at_once(
+        self, tmp_path
+    ):
+        """``kill -9`` of ``serve`` mid-job, then a restart on the same
+        cache dir: every accepted job ends done or quarantined, none is
+        charged a crash, and none waits out its lease."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        lease = 60.0
+
+        def serve():
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--cache-dir", str(tmp_path), "--workers", "1",
+                 "--lease", str(lease)],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                env=env,
+            )
+            match = None
+            while match is None:
+                line = proc.stdout.readline()
+                assert line, "server exited before listening"
+                match = re.search(r"listening on (http://\S+)", line)
+            client = ServiceClient(match.group(1))
+            client.wait_healthy(timeout=30)
+            return proc, client
+
+        proc, client = serve()
+        try:
+            ids = [client.submit(**spec(policy, num_instructions=30_000))["id"]
+                   for policy in ("age", "swque")]
+            deadline = time.monotonic() + 60.0
+            while client.status(ids[0])["state"] != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.02)
+            proc.kill()                     # SIGKILL: no drain, no release
+            proc.wait(timeout=30)
+            restarted = time.monotonic()
+            proc, client = serve()
+            assert client.healthz()["recovered_jobs"] == 2
+            for job_id in ids:
+                record, _ = wait_terminal(client, job_id, timeout=lease)
+                assert record["state"] in ("done", "quarantined")
+                assert record["crashes"] == 0
+            assert time.monotonic() - restarted < lease
+            assert client.status(ids[0])["epoch"] == 2
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+
+    def test_concurrent_take_overs_admit_exactly_one(self, tmp_path):
+        """Two servers started together on one cache dir race for its
+        private queue: exactly one owns it.  A forked child does not keep
+        the ownership after its parent lets go."""
+        barrier = threading.Barrier(4)
+
+        def take_over(_):
+            handle = DurableQueue(tmp_path, node_id="local")
+            barrier.wait()
+            try:
+                handle.take_over()
+            except RuntimeError as exc:
+                assert "in use" in str(exc)
+                return None
+            return handle
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            owners = [h for h in pool.map(take_over, range(4)) if h]
+        assert len(owners) == 1
+        context = multiprocessing.get_context("fork")
+        started = context.Event()
+
+        def linger():
+            started.set()  # after the fork hooks ran
+            time.sleep(60)
+
+        child = context.Process(target=linger)
+        child.start()
+        try:
+            assert started.wait(30)
+            owners[0].remove_node()
+            successor = DurableQueue(tmp_path, node_id="local")
+            successor.take_over()
+            successor.remove_node()
+        finally:
+            child.kill()
+            child.join()
+
+    def test_second_server_on_a_live_private_queue_is_refused(self, tmp_path):
+        svc = ReproService(cache_dir=tmp_path, workers=1)
+        try:
+            with pytest.raises(RuntimeError, match="in use"):
+                ReproService(cache_dir=tmp_path, workers=1)
+        finally:
+            svc.stop()
+        ReproService(cache_dir=tmp_path, workers=1).stop()
 
 
 class TestCircuitBreaker:
@@ -355,7 +498,9 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert breaker.stats()["trips"] == 2
 
-    def test_failing_cache_degrades_to_compute_and_return(self, tmp_path):
+    def test_failing_cache_degrades_to_compute_and_return(
+        self, tmp_path, monkeypatch
+    ):
         class FailingCache(ResultCache):
             broken = True
 
@@ -364,27 +509,27 @@ class TestCircuitBreaker:
                     raise OSError("disk on fire")
                 return super().get(key)
 
-            def put(self, key, result, job=None):
+            def put(self, key, result, job=None, **kwargs):
                 if self.broken:
                     raise OSError("disk on fire")
-                return super().put(key, result, job)
+                return super().put(key, result, job, **kwargs)
 
-        cache = FailingCache(tmp_path)
-        scheduler = JobScheduler(
-            cache=cache, workers=1, job_runner=_run_job, pool="thread",
-            breaker_threshold=2, breaker_cooldown=0.05,
-        )
+        monkeypatch.setattr(server_module, "ResultCache", FailingCache)
+        svc, client = serving(cache_dir=tmp_path, breaker_threshold=2,
+                              breaker_cooldown=0.05)
+        cache = svc.cache
         try:
-            # Each submit costs one failing get; each settle one failing
-            # put — after two failures the breaker is open and cache
-            # access is skipped entirely, yet results still flow.
-            first = scheduler.submit(job(policy="age"))
-            _, result = wait_terminal(scheduler, first.id)
+            # The frontend's admission get and the node's claim get and
+            # settle put all fail — after two failures the breaker is
+            # open and cache access is skipped entirely, yet results
+            # still flow.
+            first = client.submit(**spec(policy="age"))
+            _, result = wait_terminal(client, first["id"])
             assert result.ok
-            second = scheduler.submit(job(policy="shift"))
-            _, result = wait_terminal(scheduler, second.id)
+            second = client.submit(**spec(policy="shift"))
+            _, result = wait_terminal(client, second["id"])
             assert result.ok
-            metrics = scheduler.metrics()
+            metrics = client.metricsz()["scheduler"]
             assert metrics["cache_errors"] >= 2
             assert metrics["breaker"]["state"] == "open"
             assert metrics["cache_bypass"] >= 1
@@ -393,13 +538,13 @@ class TestCircuitBreaker:
             # succeeds and caching resumes.
             cache.broken = False
             time.sleep(0.06)
-            third = scheduler.submit(job(policy="swque"))
-            _, result = wait_terminal(scheduler, third.id)
+            third = client.submit(**spec(policy="swque"))
+            _, result = wait_terminal(client, third["id"])
             assert result.ok
-            assert scheduler.cache_breaker.state == "closed"
+            assert svc.breaker.state == "closed"
             assert len(cache) == 1
         finally:
-            scheduler.shutdown()
+            svc.stop()
 
 
 class TestAdmissionControl:
@@ -413,22 +558,20 @@ class TestAdmissionControl:
         assert bucket.try_take() == 0.0
 
     def test_per_tenant_quota_rate_limits_independently(self):
-        scheduler = JobScheduler(
-            workers=1, job_runner=_run_job, pool="thread",
-            quota_rate=0.001, quota_burst=1.0,
-        )
+        svc, client = serving(quota_rate=0.001, quota_burst=1.0)
         try:
-            scheduler.submit(job(policy="age"), tenant="alice")
-            with pytest.raises(RateLimited) as excinfo:
-                scheduler.submit(job(policy="shift"), tenant="alice")
+            client.submit(**spec(policy="age"), tenant="alice")
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(**spec(policy="shift"), tenant="alice")
+            assert excinfo.value.status == 429
             assert excinfo.value.retry_after >= 1.0
             # A different tenant has its own bucket.
-            scheduler.submit(job(policy="shift"), tenant="bob")
-            tenants = scheduler.metrics()["tenants"]
+            client.submit(**spec(policy="shift"), tenant="bob")
+            tenants = client.metricsz()["scheduler"]["tenants"]
             assert tenants["alice"]["rate_limited"] == 1
             assert tenants["bob"]["rate_limited"] == 0
         finally:
-            scheduler.shutdown()
+            svc.stop(drain=False)
 
 
 class TestClientBackoff:
@@ -531,56 +674,52 @@ class TestCrashNeverCorruptsCache:
             # shrinking), and a reused dir turns the second run into a
             # warm-cache hit that never dispatches a worker.
             cache_dir = tmp_path / f"cache-{next(runs)}"
-            cache = ResultCache(cache_dir)
-            scheduler = JobScheduler(
-                cache=cache, workers=1, pool="process", max_job_crashes=3
-            )
+            svc, client = serving(cache_dir=cache_dir, max_job_crashes=3)
             try:
                 the_job = SweepJob("exchange2", "age", MEDIUM, 40_000,
                                    seed=seed)
-                record = scheduler.submit(the_job)
+                record = client.submit(workload="exchange2", policy="age",
+                                       num_instructions=40_000, seed=seed)
                 # SIGKILL the worker once it picks the job up, after an
                 # arbitrary slice of the job's runtime.
                 deadline = time.monotonic() + 30.0
-                while not scheduler._pool.busy_pids():
+                while not client.metricsz()["node"]["busy_pids"]:
                     assert time.monotonic() < deadline, "job never dispatched"
                     time.sleep(0.005)
                 time.sleep(delay)
-                for pid in scheduler._pool.busy_pids():
+                for pid in client.metricsz()["node"]["busy_pids"]:
                     os.kill(pid, signal.SIGKILL)
-                record, result = wait_terminal(scheduler, record.id,
+                record, result = wait_terminal(client, record["id"],
                                                timeout=120.0)
-                assert record.state == "done" and result.ok
+                assert record["state"] == "done" and result.ok
                 # The cache entry (if any) must be whole, valid JSON that
                 # round-trips to the same committed-instruction count.
-                assert cache.counters.get("corrupt_entries") == 0
-                entry = cache.get(cache_key(the_job))
+                assert svc.cache.counters.get("corrupt_entries") == 0
+                entry = svc.cache.get(cache_key(the_job))
                 if entry is not None:
                     assert entry.stats.committed == result.stats.committed
             finally:
-                scheduler.shutdown(drain=False)
+                svc.stop(drain=False)
 
         property_holds()
 
 
 class TestHealthAndMetricsSurface:
     def test_process_pool_service_reports_fleet_state(self, tmp_path):
-        from repro.service import ReproService
-
-        svc = ReproService(cache_dir=tmp_path / "cache", workers=1).start()
+        svc, client = serving(cache_dir=tmp_path / "cache")
         try:
-            client = ServiceClient(svc.url)
             health = client.wait_healthy()
-            assert health["pool"] == "process"
+            assert health["mode"] == "single"
             assert health["workers_alive"] == 1
             assert health["breaker"] == "closed"
-            assert health["wal_pending"] == 0
-            assert "wal_bytes" in health and "queue_depth" in health
+            assert health["queue_depth"] == 0
+            assert "recovered_jobs" in health and "queue_running" in health
             metrics = client.metricsz()
+            node = metrics["node"]
+            assert node["pool"]["alive"] == 1
+            assert node["worker_pids"], "worker pids must be exported"
+            assert metrics["queue"]["pending"] == 0
             sched = metrics["scheduler"]
-            assert sched["worker_pool"]["alive"] == 1
-            assert sched["worker_pids"], "worker pids must be exported"
-            assert sched["wal"]["pending"] == 0
             assert sched["breaker"]["state"] == "closed"
             assert "rate_limited" in sched and "quarantined" in sched
             assert metrics["cache"]["evict_race"] == 0
