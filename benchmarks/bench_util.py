@@ -79,6 +79,6 @@ def bench_sweep(
         workloads, policies, configs=(config,),
         num_instructions=num_instructions, seed=seed,
     )
-    report = run_sweep(jobs, executor="inline", retries=retries)
+    report = run_sweep(jobs, max_workers=0, retries=retries)
     assert report.all_ok, f"benchmark sweep had failures:\n{report.summary()}"
     return report.by_workload()

@@ -7,18 +7,19 @@ hangs past the wall-clock timeout, and one that diverges under an
 impossibly tight cycle budget (a *transient* failure, retried with
 backoff).  The sweep still completes: every healthy cell returns its
 result, every broken cell is reported as a FailedResult with its
-traceback and partial progress, and the JSON-lines checkpoint means a
-second invocation restores the finished cells instead of re-running them.
+traceback and partial progress.  Every healthy cell lands in a result
+cache as it finishes, so a second sweep of the healthy grid restores it
+instead of re-running it.  (The chaos cells would run again: failures are
+never cached, and fault-injected cells cannot be.)
 
     python examples/resilient_sweep.py [instructions]
 
-Equivalent CLI:
+Equivalent CLI for the healthy grid (re-run it to resume):
 
     python -m repro sweep --workloads exchange2 leela --policies age swque \\
-        --timeout 600 --retries 2 --checkpoint sweep.jsonl --resume
+        --timeout 600 --retries 2 --cache-dir .sweep-cache
 """
 
-import pathlib
 import sys
 import tempfile
 
@@ -32,10 +33,10 @@ POLICIES = ["age", "swque"]
 
 def main() -> None:
     instructions = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
-    checkpoint = pathlib.Path(tempfile.mkdtemp(prefix="repro-sweep-")) / "sweep.jsonl"
+    cache_dir = tempfile.mkdtemp(prefix="repro-sweep-")
 
-    jobs = make_grid(WORKLOADS, POLICIES, num_instructions=instructions)
-    jobs += [
+    healthy = make_grid(WORKLOADS, POLICIES, num_instructions=instructions)
+    jobs = healthy + [
         # A worker that dies mid-simulation (hard, like a segfault).
         SweepJob("x264", "age", MEDIUM, instructions,
                  fault=FaultSpec("crash", at_cycle=500, hard=True)),
@@ -48,21 +49,21 @@ def main() -> None:
     ]
 
     print(f"Sweeping {len(jobs)} cells ({instructions:,} instructions each), "
-          f"checkpointing to {checkpoint} ...\n")
+          f"caching results in {cache_dir} ...\n")
     report = run_sweep(
         jobs,
         timeout=15.0,       # wall-clock guard per cell
         retries=1,          # one backoff-delayed re-run for transient failures
         backoff=0.5,
-        checkpoint=checkpoint,
+        cache_dir=cache_dir,
         on_result=lambda job, result: print("  " + result.summary()),
     )
 
     print()
     print(report.summary())
 
-    print("\nResuming from the checkpoint (nothing left to run):")
-    resumed = run_sweep(jobs, checkpoint=checkpoint, resume=True)
+    print("\nResuming the healthy grid from the cache (nothing left to run):")
+    resumed = run_sweep(healthy, cache_dir=cache_dir)
     print(f"  {resumed.restored} cells restored, {resumed.executed} executed")
 
 

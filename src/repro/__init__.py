@@ -11,8 +11,8 @@ Quickstart::
 Public surface:
 
 * :func:`repro.sim.simulate` -- run one workload under one IQ policy.
-* :mod:`repro.sim.harness` -- fault-tolerant sweeps: isolated workers,
-  timeouts, retry with backoff, checkpoint/resume.
+* :mod:`repro.sim.harness` -- fault-tolerant sweeps: supervised workers,
+  timeouts, retry with backoff, resume from the result cache.
 * :mod:`repro.core` -- the IQ organizations (SHIFT/RAND/AGE/CIRC/CIRC-PC/SWQUE).
 * :mod:`repro.workloads` -- the SPEC2017-like synthetic workload suite.
 * :mod:`repro.power` -- energy / area / delay models for the IQ circuits.

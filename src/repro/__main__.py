@@ -8,7 +8,7 @@ Examples::
     python -m repro experiment fig8 --instructions 40000
     python -m repro trace --workload int --policy swque --out-dir telemetry/
     python -m repro sweep --policies age swque --timeout 600 --retries 2 \\
-        --checkpoint sweep.jsonl --resume --snapshot-failures snaps/
+        --cache-dir .sweep-cache --snapshot-failures snaps/
     python -m repro replay snaps/mcf-swque-medium-c12000-failed.snap
     python -m repro serve --port 8642 --workers 4 --cache-dir .repro-cache
     python -m repro list
@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="fault-tolerant workload x policy sweep (isolated workers, "
-             "retries, checkpoint/resume)",
+        help="fault-tolerant workload x policy sweep (supervised workers, "
+             "retries, resume from a result cache)",
     )
     sweep.add_argument("--workloads", nargs="+", default=None,
                        choices=sorted(SPEC2017_PROFILES),
@@ -124,21 +124,23 @@ def _build_parser() -> argparse.ArgumentParser:
                             "deterministic)")
     sweep.add_argument("--large", action="store_true")
     sweep.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: CPU count - 1); "
-                            "0 = run inline in this process")
+                       help="supervised worker processes (default: CPU "
+                            "count - 1); 0 = run inline in this process")
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-job wall-clock budget; hung workers are killed")
+                       help="per-job wall-clock budget; overrunning workers "
+                            "are killed (ignored with --jobs 0)")
     sweep.add_argument("--retries", type=int, default=1,
                        help="extra attempts for transient failures (default 1)")
     sweep.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
                        help="base retry delay, doubled per attempt (default 0.5)")
     sweep.add_argument("--max-cycles", type=int, default=None,
                        help="per-run cycle budget (divergence watchdog)")
-    sweep.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="JSON-lines progress file, appended per finished cell")
-    sweep.add_argument("--resume", action="store_true",
-                       help="restore finished cells from --checkpoint and run "
-                            "only the rest")
+    sweep.add_argument("--cache-dir", default=None, metavar="DIR",
+                       help="result cache: cells cached there are restored, "
+                            "not run, and each success is stored as it "
+                            "finishes, so re-running a killed sweep resumes "
+                            "it; failed cells run again (same store as "
+                            "'serve --cache-dir'; default: no cache)")
     sweep.add_argument("--snapshot-failures", default=None, metavar="DIR",
                        help="write a pre-crash simulator snapshot for every "
                             "failed cell into DIR (replay with "
@@ -398,9 +400,6 @@ def main(argv=None) -> int:
         print(format_table(["policy", "IPC", "MPKI", "branch MPKI"], rows))
         return 0
     if args.command == "sweep":
-        if args.resume and not args.checkpoint:
-            print("error: --resume needs --checkpoint", file=sys.stderr)
-            return 2
         config = LARGE if args.large else MEDIUM
         workloads = args.workloads or sorted(SPEC2017_PROFILES)
         jobs = make_grid(
@@ -445,20 +444,22 @@ def main(argv=None) -> int:
                 flush=True,
             )
 
-        report = run_sweep(
-            jobs,
-            executor="inline" if args.jobs == 0 else "process",
-            max_workers=args.jobs or None,
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            snapshot_failures=args.snapshot_failures,
-            telemetry_dir=args.telemetry_dir,
-            on_result=on_result,
-            on_retry=on_retry,
-        )
+        try:
+            report = run_sweep(
+                jobs,
+                max_workers=args.jobs,
+                timeout=args.timeout,
+                retries=args.retries,
+                backoff=args.backoff,
+                cache_dir=args.cache_dir,
+                snapshot_failures=args.snapshot_failures,
+                telemetry_dir=args.telemetry_dir,
+                on_result=on_result,
+                on_retry=on_retry,
+            )
+        except ValueError as exc:  # a bad --jobs/--retries/--timeout/...
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print()
         print(report.summary())
         if report.interrupted:

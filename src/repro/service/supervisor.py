@@ -1,4 +1,4 @@
-"""Supervised multi-process worker pool for a worker node.
+"""Supervised multi-process worker pool for a worker node or a sweep.
 
 A pool of long-lived **forked worker processes** under a supervisor
 that treats worker death as an event, not a disaster — how Lee's
@@ -19,7 +19,7 @@ Each worker:
   pipe message, so it can never interleave with a result send.)
 
 The supervisor (:meth:`ProcessWorkerPool.poll`, driven by the node's
-loop) detects three failure shapes and turns each into a structured
+loop or by :func:`repro.sim.harness.run_sweep`) detects three failure shapes and turns each into a structured
 event instead of an exception:
 
 * ``WorkerCrashed`` — the process died (SIGKILL, segfault, OOM) without
@@ -33,7 +33,7 @@ In every case the dead worker is **restarted** immediately (the pool
 never shrinks) and the node decides the in-flight job's fate: release
 its lease with a crash charge, or — after ``max_job_crashes`` worker
 losses — quarantine it as a poison job rather than crash-looping the
-fleet forever.
+fleet forever.  A sweep retries the cell as a transient failure.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.sim.harness import (
     SweepJob,
     TRANSIENT_ERRORS,
+    WORKER_LOSS_KINDS,
     _run_job,
     run_job_with_retries,
 )
@@ -63,11 +64,8 @@ RETRY_BACKOFF = 0.5
 #: simulation load (the beat thread only needs one GIL slice).
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 
-#: Worker-loss kinds the pool reports (``error_type`` on the failure).
-WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung", "JobTimeout")
 
-
-def _pool_worker_main(
+def _pool_worker_loop(
     conn,
     supervisor_end,
     heartbeat,
@@ -202,7 +200,7 @@ class ProcessWorkerPool:
         heartbeat = self._ctx.Value("d", time.monotonic())
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
-            target=_pool_worker_main,
+            target=_pool_worker_loop,
             args=(
                 child_conn,
                 parent_conn,

@@ -21,8 +21,8 @@ def stats_from_dict(data: dict) -> PipelineStats:
     """Rebuild a :class:`PipelineStats` from :func:`stats_to_dict` output.
 
     Unknown keys (derived rates like ``ipc`` that ``as_dict`` adds, or
-    counters from a newer schema) are ignored, so old checkpoint files
-    stay loadable.
+    counters from a newer schema) are ignored, so old cache entries and
+    API records stay loadable.
     """
     stats = PipelineStats()
     for name in stats.__dataclass_fields__:
@@ -56,7 +56,7 @@ class SimResult:
     commit_digest: str = ""
     #: The run's :class:`repro.telemetry.Telemetry` sink when telemetry
     #: was enabled (typed loosely to keep this module import-light).
-    #: Excluded from checkpoint records — export it explicitly via
+    #: Excluded from serialized records — export it explicitly via
     #: :func:`repro.telemetry.export_run`.
     telemetry: Optional[object] = None
 
@@ -84,11 +84,11 @@ class SimResult:
     def to_dict(self) -> dict:
         """JSON-safe record of this result (``telemetry`` excluded).
 
-        One serialization path shared by the harness checkpoint, the
-        service result cache, and HTTP API responses.  The effective
-        seed is emitted as ``effective_seed`` (matching the checkpoint
-        provenance field) so harness records can carry the *requested*
-        seed under ``seed`` alongside it without a collision.
+        One serialization path shared by the result cache (which sweeps
+        resume from), sweep reports, and HTTP API responses.  The
+        effective seed is emitted as ``effective_seed`` so a record can
+        carry the *requested* seed under ``seed`` alongside it without a
+        collision.
         """
         return {
             "status": "ok",

@@ -39,7 +39,7 @@ def run_policies(
         num_instructions=num_instructions, seed=seed,
     )
     try:
-        report = run_sweep(jobs, executor="inline", retries=0, fail_fast=True)
+        report = run_sweep(jobs, max_workers=0, retries=0, fail_fast=True)
     except SweepFailed as exc:
         original = getattr(exc.failure, "exception", None)
         if original is not None:
@@ -58,12 +58,13 @@ def run_policies_resilient(
 ):
     """Like :func:`run_policies`, but failures become result cells.
 
-    Extra keyword arguments (``timeout``, ``retries``, ``checkpoint``,
-    ``resume``, ``max_workers``, ``executor``, ...) pass straight through
-    to :func:`~repro.sim.harness.run_sweep`; the default executor here is
-    ``"inline"`` for parity with :func:`run_policies`.
+    Extra keyword arguments (``timeout``, ``retries``, ``cache_dir``,
+    ``max_workers``, ...) pass straight through to
+    :func:`~repro.sim.harness.run_sweep`; cells run in-process
+    (``max_workers=0``) unless ``max_workers`` says otherwise, for parity
+    with :func:`run_policies`.
     """
-    sweep_kwargs.setdefault("executor", "inline")
+    sweep_kwargs.setdefault("max_workers", 0)
     jobs = make_grid(
         workloads, policies, configs=(config,),
         num_instructions=num_instructions, seed=seed,

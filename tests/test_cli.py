@@ -37,3 +37,8 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    def test_sweep_rejects_negative_jobs(self, capsys):
+        assert main(["sweep", "--workloads", "exchange2", "--policies", "age",
+                     "--instructions", "3000", "--jobs", "-1"]) == 2
+        assert "max_workers" in capsys.readouterr().err

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.config import MEDIUM
 from repro.cpu.pipeline import SimulationDiverged
+from repro.service.cache import ENTRY_SUFFIX, ResultCache, cache_key
 from repro.sim.faults import FaultSpec
 from repro.sim.harness import (
+    TRANSIENT_ERRORS,
+    WORKER_LOSS_KINDS,
     SweepFailed,
     SweepJob,
-    load_checkpoint,
     make_grid,
     run_sweep,
     _run_job,
@@ -32,6 +40,36 @@ N = 3000  # instruction budget: seconds-scale cells
 def diverging_job(**kwargs):
     """A cell guaranteed to diverge: a far-too-tight cycle budget."""
     return SweepJob("exchange2", "age", MEDIUM, N, max_cycles=300, **kwargs)
+
+
+def counting_runner(executed):
+    """An in-process job runner that records the key of every cell it runs."""
+
+    def runner(job, _trace_cache=None):
+        executed.append(job.key)
+        return _run_job(job, _trace_cache)
+
+    return runner
+
+
+class FlakyOnce:
+    """A job runner whose first call raises a transient error.  Pool
+    workers are forked, so the runner counts its calls in a file."""
+
+    def __init__(self, root) -> None:
+        self.calls_file = Path(root) / "calls"
+        self.calls_file.parent.mkdir(parents=True, exist_ok=True)
+
+    def __call__(self, job, _trace_cache=None):
+        with open(self.calls_file, "a") as handle:
+            handle.write(job.key + "\n")
+        if self.calls == 1:
+            raise SimulationDiverged("transient wobble")
+        return _run_job(job, _trace_cache)
+
+    @property
+    def calls(self) -> int:
+        return len(self.calls_file.read_text().splitlines())
 
 
 class TestSatellites:
@@ -89,7 +127,7 @@ class TestJobsAndValidation:
     def test_duplicate_cells_rejected(self):
         job = SweepJob("exchange2", "age", MEDIUM, N)
         with pytest.raises(ValueError, match="duplicate sweep cell"):
-            run_sweep([job, job], executor="inline")
+            run_sweep([job, job], max_workers=0)
 
     def test_bad_policy_rejected_before_running(self):
         with pytest.raises(ValueError, match="unknown IQ policy"):
@@ -105,15 +143,15 @@ class TestJobsAndValidation:
             run_sweep(ok, retries=-1)
         with pytest.raises(ValueError, match="timeout"):
             run_sweep(ok, timeout=0)
-        with pytest.raises(ValueError, match="executor"):
-            run_sweep(ok, executor="threads")
+        with pytest.raises(ValueError, match="max_workers"):
+            run_sweep(ok, max_workers=-1)
 
 
 class TestInlineSweep:
     def test_all_cells_succeed(self):
         report = run_sweep(
             make_grid(["exchange2"], ["shift", "age"], num_instructions=N),
-            executor="inline",
+            max_workers=0,
         )
         assert report.all_ok
         assert len(report.cells) == 2
@@ -123,7 +161,7 @@ class TestInlineSweep:
     def test_failure_is_first_class_data(self):
         report = run_sweep(
             [diverging_job(), SweepJob("exchange2", "shift", MEDIUM, N)],
-            executor="inline",
+            max_workers=0,
             retries=0,
         )
         assert len(report.failures) == 1 and len(report.successes) == 1
@@ -142,7 +180,7 @@ class TestInlineSweep:
         delays = []
         report = run_sweep(
             [diverging_job()],
-            executor="inline",
+            max_workers=0,
             retries=3,
             backoff=0.25,
             sleep=delays.append,
@@ -162,7 +200,7 @@ class TestInlineSweep:
 
         report = run_sweep(
             [SweepJob("exchange2", "age", MEDIUM, N)],
-            executor="inline",
+            max_workers=0,
             retries=2,
             backoff=0,
             _job_runner=flaky_runner,
@@ -179,7 +217,7 @@ class TestInlineSweep:
 
         report = run_sweep(
             [SweepJob("exchange2", "age", MEDIUM, N)],
-            executor="inline",
+            max_workers=0,
             retries=5,
             backoff=0,
             _job_runner=broken_runner,
@@ -189,14 +227,14 @@ class TestInlineSweep:
 
     def test_fail_fast_raises_sweep_failed(self):
         with pytest.raises(SweepFailed):
-            run_sweep([diverging_job()], executor="inline", retries=0,
+            run_sweep([diverging_job()], max_workers=0, retries=0,
                       fail_fast=True)
 
     def test_chaos_cell_produces_failed_result(self):
         # An injected crash is permanent (not transient): one attempt.
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("crash", at_cycle=100))
-        report = run_sweep([job], executor="inline", retries=2, backoff=0)
+        report = run_sweep([job], max_workers=0, retries=2, backoff=0)
         failure = report.failures[0]
         assert failure.error_type == "InjectedFault"
         assert failure.attempts == 1
@@ -204,23 +242,19 @@ class TestInlineSweep:
 
 
 class TestCheckpointResume:
+    """Resume from the content-addressed result cache (``cache_dir=``)."""
+
     def grid(self):
         return make_grid(["exchange2", "leela"], ["shift", "age"],
                          num_instructions=N)
 
     def test_round_trip_restores_identical_results(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        first = run_sweep(self.grid(), executor="inline", checkpoint=path)
-        assert len(path.read_text().splitlines()) == 4
+        first = run_sweep(self.grid(), max_workers=0, cache_dir=tmp_path)
+        assert len(ResultCache(tmp_path)) == 4
 
         executed = []
-
-        def counting_runner(job, _trace_cache=None):
-            executed.append(job.key)
-            return _run_job(job, _trace_cache)
-
-        second = run_sweep(self.grid(), executor="inline", checkpoint=path,
-                           resume=True, _job_runner=counting_runner)
+        second = run_sweep(self.grid(), max_workers=0, cache_dir=tmp_path,
+                           _job_runner=counting_runner(executed))
         assert executed == []
         assert second.restored == 4 and second.executed == 0
         for key, original in first.cells.items():
@@ -230,81 +264,39 @@ class TestCheckpointResume:
             assert restored.mode_switches == original.mode_switches
 
     def test_interrupted_sweep_resumes_only_unfinished_cells(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
         jobs = self.grid()
         # "Kill" the sweep after two of four cells.
-        run_sweep(jobs[:2], executor="inline", checkpoint=path)
+        run_sweep(jobs[:2], max_workers=0, cache_dir=tmp_path)
 
         executed = []
-
-        def counting_runner(job, _trace_cache=None):
-            executed.append(job.key)
-            return _run_job(job, _trace_cache)
-
-        report = run_sweep(jobs, executor="inline", checkpoint=path,
-                           resume=True, _job_runner=counting_runner)
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path,
+                           _job_runner=counting_runner(executed))
         assert executed == [jobs[2].key, jobs[3].key]
         assert report.restored == 2 and report.executed == 2
         assert len(report.cells) == 4 and report.all_ok
-        # The resumed cells were appended to the same file.
-        records, corrupt = load_checkpoint(path)
-        assert len(records) == 4 and corrupt == 0
-
-    def test_torn_final_line_is_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        jobs = self.grid()
-        run_sweep(jobs[:3], executor="inline", checkpoint=path)
-        with open(path, "a") as handle:
-            handle.write('{"key": "exchange2|age|medium|n=')  # torn write
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            report = run_sweep(jobs, executor="inline", checkpoint=path,
-                               resume=True)
-        assert report.corrupt_checkpoint_lines == 1
-        assert report.restored == 3 and report.executed == 1
-        assert report.all_ok
-
-    def test_torn_line_without_newline_cannot_corrupt_appends(self, tmp_path):
-        # The nastier torn write: the final line is cut mid-record with NO
-        # trailing newline.  A naive append would concatenate the next
-        # record onto it, corrupting BOTH.  Resume compacts the file
-        # first, so appended records always start on a fresh line.
-        path = tmp_path / "sweep.jsonl"
-        jobs = self.grid()
-        run_sweep(jobs, executor="inline", checkpoint=path)
-        lines = path.read_bytes().splitlines(True)
-        path.write_bytes(b"".join(lines[:-1]) + lines[-1][:37].rstrip(b"\n"))
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            report = run_sweep(jobs, executor="inline", checkpoint=path,
-                               resume=True)
-        assert report.corrupt_checkpoint_lines == 1
-        assert report.restored == 3 and report.executed == 1
-        # Every line of the compacted + appended file parses cleanly.
-        records, corrupt = load_checkpoint(path)
-        assert corrupt == 0
-        assert set(records) == {job.key for job in jobs}
+        # The resumed cells landed in the same cache.
+        assert len(ResultCache(tmp_path)) == 4
 
     def test_resume_compaction_keeps_records_outside_the_sweep(self, tmp_path):
-        # Records for cells not in the current sweep (e.g. a larger
-        # earlier grid) must survive compaction.
-        path = tmp_path / "sweep.jsonl"
+        # Resuming a smaller sweep leaves the entries of cells outside it
+        # (e.g. a larger earlier grid) in place.
         jobs = self.grid()
-        run_sweep(jobs, executor="inline", checkpoint=path)
-        run_sweep(jobs[:1], executor="inline", checkpoint=path, resume=True)
-        records, corrupt = load_checkpoint(path)
-        assert corrupt == 0
-        assert set(records) == {job.key for job in jobs}
+        run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        run_sweep(jobs[:1], max_workers=0, cache_dir=tmp_path)
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        assert report.restored == 4 and report.executed == 0
 
     def test_checkpoint_records_carry_provenance(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
         jobs = self.grid()[:1]
-        first = run_sweep(jobs, executor="inline", checkpoint=path)
-        record = json.loads(path.read_text().splitlines()[0])
+        first = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        entry = tmp_path / f"{cache_key(jobs[0])}{ENTRY_SUFFIX}"
+        record = json.loads(entry.read_text())["result"]
         assert record["effective_seed"] is not None
         assert len(record["config_hash"]) == 16
         assert record["version"]
         assert len(record["commit_digest"]) == 32
-        second = run_sweep(jobs, executor="inline", checkpoint=path,
-                           resume=True)
+        second = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        assert second.restored == 1
         restored = second.cells[jobs[0].key]
         original = first.cells[jobs[0].key]
         assert restored.seed == original.seed
@@ -312,41 +304,76 @@ class TestCheckpointResume:
         assert restored.version == original.version
         assert restored.commit_digest == original.commit_digest
 
-    def test_failed_cells_checkpoint_and_restore(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        run_sweep([diverging_job()], executor="inline", retries=0,
-                  checkpoint=path)
-        report = run_sweep([diverging_job()], executor="inline", retries=0,
-                           checkpoint=path, resume=True)
-        assert report.restored == 1 and report.executed == 0
+    def test_failed_cell_reruns_and_fails_the_same_way(self, tmp_path):
+        first = run_sweep([diverging_job()], max_workers=0, retries=0,
+                          cache_dir=tmp_path)
+        report = run_sweep([diverging_job()], max_workers=0, retries=0,
+                           cache_dir=tmp_path)
+        # Failures are never cached: the cell runs again.
+        assert report.restored == 0 and report.executed == 1
         failure = report.cells[diverging_job().key]
         assert failure.error_type == "SimulationDiverged"
         assert failure.partial_stats is not None
         assert failure.partial_stats.cycles >= 300
+        again = first.cells[diverging_job().key]
+        assert failure.cycles == again.cycles
+        assert failure.partial_stats.as_dict() == again.partial_stats.as_dict()
 
-    def test_without_resume_checkpoint_is_truncated(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        jobs = self.grid()
-        run_sweep(jobs, executor="inline", checkpoint=path)
-        run_sweep(jobs[:1], executor="inline", checkpoint=path)
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_checkpoint_requires_named_workloads(self, tmp_path):
+    def test_prebuilt_trace_runs_uncached(self, tmp_path):
         from repro.workloads.generator import generate_trace
         from repro.workloads.spec2017 import get_profile
 
         trace = generate_trace(get_profile("exchange2"), N)
-        with pytest.raises(ValueError, match="named workloads"):
-            run_sweep([SweepJob(trace, "age", MEDIUM, N)],
-                      checkpoint=tmp_path / "sweep.jsonl")
+        job = SweepJob(trace, "age", MEDIUM, N)
+        for _ in range(2):
+            report = run_sweep([job], max_workers=0, cache_dir=tmp_path)
+            assert report.all_ok
+            assert report.executed == 1 and report.restored == 0
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_resume_misses_when_budgets_change(self, tmp_path):
+        # Resume joins on the content address, which covers every budget:
+        # a cell run under a cycle cap never stands in for the uncapped one.
+        capped = SweepJob("exchange2", "age", MEDIUM, 3000, max_cycles=300)
+        first = run_sweep([capped], max_workers=0, retries=0,
+                          cache_dir=tmp_path)
+        assert first.failures[0].error_type == "SimulationDiverged"
+        uncapped = dataclasses.replace(capped, max_cycles=None)
+        report = run_sweep([uncapped], max_workers=0, retries=0,
+                           cache_dir=tmp_path)
+        assert report.executed == 1 and report.restored == 0
+        assert isinstance(report.cells[uncapped.key], SimResult)
+
+        # Changing only the warmup, or only the cap, misses too, though
+        # the uncapped cell is cached by now.
+        assert run_sweep([uncapped], max_workers=0,
+                         cache_dir=tmp_path).restored == 1
+        for changed in (
+            dataclasses.replace(uncapped, warmup_instructions=0),
+            dataclasses.replace(uncapped, max_cycles=10**6),
+        ):
+            report = run_sweep([changed], max_workers=0, cache_dir=tmp_path)
+            assert report.executed == 1 and report.restored == 0
+            assert isinstance(report.cells[changed.key], SimResult)
+
+    def test_all_cached_sweep_forks_no_worker(self, tmp_path, monkeypatch):
+        jobs = self.grid()
+        run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+
+        def no_fork():
+            raise AssertionError("a fully cached sweep forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = run_sweep(jobs, max_workers=2, cache_dir=tmp_path)
+        assert report.restored == 4 and report.executed == 0
+        assert report.all_ok
 
     def test_failed_cell_snapshot_path_round_trips(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
         snaps = tmp_path / "snaps"
-        run_sweep([diverging_job()], executor="inline", retries=0,
-                  checkpoint=path, snapshot_failures=snaps)
-        report = run_sweep([diverging_job()], executor="inline", retries=0,
-                           checkpoint=path, resume=True,
+        run_sweep([diverging_job()], max_workers=0, retries=0,
+                  cache_dir=tmp_path / "cache", snapshot_failures=snaps)
+        report = run_sweep([diverging_job()], max_workers=0, retries=0,
+                           cache_dir=tmp_path / "cache",
                            snapshot_failures=snaps)
         failure = report.cells[diverging_job().key]
         assert failure.snapshot_path and failure.snapshot_path.endswith(".snap")
@@ -361,20 +388,21 @@ class TestCheckpointResume:
 
 
 class TestProcessExecutor:
-    """Real isolated-worker behaviour: slowish, so kept to the essentials."""
+    """Real supervised-pool behaviour: slowish, so kept to the essentials."""
 
     def test_success_matches_inline_execution(self):
         jobs = make_grid(["exchange2"], ["age"], num_instructions=N)
-        inline = run_sweep(jobs, executor="inline")
-        isolated = run_sweep(jobs, executor="process", max_workers=2)
+        inline = run_sweep(jobs, max_workers=0)
+        isolated = run_sweep(jobs, max_workers=2)
         assert isolated.all_ok
         key = jobs[0].key
         assert isolated.cells[key].ipc == inline.cells[key].ipc
+        assert isolated.cells[key].commit_digest == inline.cells[key].commit_digest
 
     def test_hung_worker_is_killed_at_the_timeout(self):
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("hang", at_cycle=50, hang_seconds=120))
-        report = run_sweep([job], executor="process", timeout=1.5, retries=0)
+        report = run_sweep([job], timeout=1.5, retries=0)
         failure = report.failures[0]
         assert failure.error_type == "JobTimeout"
         assert "wall-clock" in failure.error_message
@@ -383,32 +411,103 @@ class TestProcessExecutor:
         # os._exit(13) skips the error report, like a segfault or OOM kill.
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("crash", at_cycle=50, hard=True))
-        report = run_sweep([job], executor="process", retries=0)
+        report = run_sweep([job], retries=0)
         failure = report.failures[0]
         assert failure.error_type == "WorkerCrashed"
         assert "exit code" in failure.error_message
 
+    def test_lost_worker_retries_like_a_crash(self):
+        job = SweepJob("exchange2", "age", MEDIUM, N,
+                       fault=FaultSpec("crash", at_cycle=50, hard=True))
+        retried = []
+        report = run_sweep([job], retries=1, backoff=0,
+                           on_retry=lambda *args: retried.append(args))
+        failure = report.failures[0]
+        assert failure.error_type == "WorkerCrashed"
+        assert failure.attempts == 2
+        assert report.retried == 1
+        assert retried == [(job, 2, "WorkerCrashed")]
+
+    def test_worker_loss_kinds_are_one_transient_set(self):
+        from repro.service import supervisor
+
+        assert supervisor.WORKER_LOSS_KINDS is WORKER_LOSS_KINDS
+        assert TRANSIENT_ERRORS == ("SimulationDiverged",) + WORKER_LOSS_KINDS
+        assert "WorkerHung" in TRANSIENT_ERRORS
+
+    def test_flaky_job_runner_retries_on_the_pool(self, tmp_path):
+        runner = FlakyOnce(tmp_path / "flaky")
+        job = SweepJob("exchange2", "age", MEDIUM, N)
+        report = run_sweep([job], max_workers=1, retries=1, backoff=0,
+                           _job_runner=runner)
+        assert report.all_ok
+        assert report.retried == 1 and report.executed == 1
+        assert runner.calls == 2
+
     def test_worker_failure_report_crosses_the_process_boundary(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        report = run_sweep([diverging_job()], executor="process", retries=0,
-                           checkpoint=path)
+        report = run_sweep([diverging_job()], retries=0, cache_dir=tmp_path)
         failure = report.failures[0]
         assert failure.error_type == "SimulationDiverged"
         assert failure.partial_stats is not None
         assert failure.partial_stats.cycles >= 300
-        records, _ = load_checkpoint(path)
-        assert records[diverging_job().key]["status"] == "failed"
+        assert len(ResultCache(tmp_path)) == 0  # failures are never cached
 
     def test_failure_snapshot_crosses_the_process_boundary(self, tmp_path):
         from repro.verify.replay import replay
 
         snaps = tmp_path / "snaps"
-        report = run_sweep([diverging_job()], executor="process", retries=0,
+        report = run_sweep([diverging_job()], retries=0,
                            snapshot_failures=snaps)
         failure = report.failures[0]
         assert failure.snapshot_path is not None
         outcome = replay(failure.snapshot_path, cycles=10, trace=False)
         assert outcome.cycles_run == 10  # the artifact restores and steps
+
+
+class TestKilledSweepResumes:
+    """``kill -9`` of a CLI sweep mid-run, then the same command again."""
+
+    def test_sigkill_mid_sweep_then_resume(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        command = [
+            sys.executable, "-m", "repro", "sweep",
+            "--workloads", "exchange2", "leela", "--policies", "age", "swque",
+            "--instructions", "3000", "--jobs", "1",
+            "--cache-dir", str(cache_dir),
+        ]
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True, env=env)
+        try:
+            for line in proc.stdout:
+                if line.startswith("[1/4]"):
+                    break
+            else:
+                pytest.fail("the sweep ended without a progress line")
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        finished = len(ResultCache(cache_dir))
+        assert 1 <= finished <= 4
+
+        rerun = subprocess.run(command, capture_output=True, text=True,
+                               env=env, timeout=300)
+        assert rerun.returncode == 0, rerun.stderr
+        assert (
+            f"sweep: 4 cells, 4 ok, 0 failed ({finished} restored from "
+            f"cache, {4 - finished} executed)"
+        ) in rerun.stdout
+        # Only the cells missing from the cache ran (one line each).
+        progress = [line for line in rerun.stdout.splitlines()
+                    if line.startswith("[")]
+        assert len(progress) == 4 - finished
+        assert len(ResultCache(cache_dir)) == 4
 
 
 class TestRunnersOnTheHarness:
@@ -459,32 +558,28 @@ class TestGracefulInterrupt:
         return runner
 
     def test_partial_report_with_flushed_checkpoint(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
         jobs = self.grid()
-        report = run_sweep(jobs, executor="inline", checkpoint=path,
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path,
                            _job_runner=self.interrupt_on_second())
         assert report.interrupted
         assert list(report.cells) == [jobs[0].key]   # only the finished cell
         assert report.cells[jobs[0].key].ok
         assert "interrupted" in report.summary()
-        # The checkpoint was flushed and is cleanly parseable.
-        records, corrupt = load_checkpoint(path)
-        assert corrupt == 0
-        assert set(records) == {jobs[0].key}
+        # The finished cell, and only it, is already in the cache.
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 1 and cache_key(jobs[0]) in cache
 
     def test_interrupted_sweep_resumes_to_completion(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
         jobs = self.grid()
-        run_sweep(jobs, executor="inline", checkpoint=path,
+        run_sweep(jobs, max_workers=0, cache_dir=tmp_path,
                   _job_runner=self.interrupt_on_second())
-        report = run_sweep(jobs, executor="inline", checkpoint=path,
-                           resume=True)
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
         assert not report.interrupted
         assert report.restored == 1 and report.executed == 1
         assert report.all_ok and len(report.cells) == 2
 
     def test_report_round_trips_interrupted_flag(self):
-        report = run_sweep(self.grid(), executor="inline",
+        report = run_sweep(self.grid(), max_workers=0,
                            _job_runner=self.interrupt_on_second())
         from repro.sim.harness import SweepReport
 
@@ -492,10 +587,6 @@ class TestGracefulInterrupt:
         assert rebuilt.interrupted
 
     def test_real_sigterm_is_handled_gracefully(self, tmp_path):
-        import os
-        import signal
-
-        path = tmp_path / "sweep.jsonl"
         calls = []
 
         def terminating_runner(job, _trace_cache=None):
@@ -505,20 +596,18 @@ class TestGracefulInterrupt:
                 os.kill(os.getpid(), signal.SIGTERM)
             return result
 
-        report = run_sweep(self.grid(), executor="inline", checkpoint=path,
+        report = run_sweep(self.grid(), max_workers=0, cache_dir=tmp_path,
                            _job_runner=terminating_runner)
         assert report.interrupted
         assert len(report.cells) < 2
-        records, corrupt = load_checkpoint(path)
-        assert corrupt == 0
+        # Every reported cell is cached; nothing else is.
+        assert len(ResultCache(tmp_path)) == len(report.cells)
         # The handler was restored on the way out.
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
 
     def test_handlers_restored_after_clean_sweep(self):
-        import signal
-
         before_int = signal.getsignal(signal.SIGINT)
         before_term = signal.getsignal(signal.SIGTERM)
-        run_sweep(self.grid()[:1], executor="inline")
+        run_sweep(self.grid()[:1], max_workers=0)
         assert signal.getsignal(signal.SIGINT) is before_int
         assert signal.getsignal(signal.SIGTERM) is before_term

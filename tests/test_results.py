@@ -1,8 +1,8 @@
 """Round-trip tests for the shared result serialization path.
 
 One ``to_dict``/``from_dict`` pair per result type is the single
-serialization path shared by the harness checkpoint, the service result
-cache, and the HTTP API — these tests pin the symmetry down.
+serialization path shared by sweep reports, the result cache (which
+sweeps resume from), and the HTTP API — these tests pin the symmetry down.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cpu.stats import PipelineStats
+from repro.service.cache import ENTRY_SUFFIX, cache_key
 from repro.sim.harness import SweepJob, SweepReport, make_grid, run_sweep
 from repro.sim.results import (
     FailedResult,
@@ -115,7 +116,7 @@ class TestDispatchAndReport:
         jobs = make_grid(["exchange2"], ["shift", "age"], num_instructions=N)
         jobs.append(SweepJob("exchange2", "circ", num_instructions=N,
                              max_cycles=300))  # guaranteed divergence
-        report = run_sweep(jobs, executor="inline", retries=0)
+        report = run_sweep(jobs, max_workers=0, retries=0)
         rebuilt = SweepReport.from_dict(through_json(report.to_dict()))
         assert list(rebuilt.cells) == list(report.cells)
         assert len(rebuilt.successes) == 2 and len(rebuilt.failures) == 1
@@ -124,16 +125,25 @@ class TestDispatchAndReport:
         assert rebuilt.executed == report.executed
         assert rebuilt.interrupted == report.interrupted
 
+    def test_sweep_report_reads_records_with_retired_fields(self):
+        # Reports saved before the sweep cache carried a checkpoint
+        # counter; they still load.
+        record = {"cells": {}, "restored": 2, "executed": 1,
+                  "corrupt_checkpoint_lines": 3}
+        rebuilt = SweepReport.from_dict(record)
+        assert rebuilt.restored == 2 and rebuilt.executed == 1
+
     def test_checkpoint_records_are_the_shared_path(self, tmp_path):
-        # A checkpoint line is result.to_dict() plus cell identity: the
-        # same loader the API/cache use can read it directly.
-        path = tmp_path / "sweep.jsonl"
+        # A sweep's cache entry wraps result.to_dict() with the cell's
+        # identity: the same loader the API uses can read it directly.
         jobs = make_grid(["exchange2"], ["age"], num_instructions=N)
-        report = run_sweep(jobs, executor="inline", checkpoint=path)
-        record = json.loads(path.read_text().splitlines()[0])
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        key = cache_key(jobs[0])
+        entry = json.loads((tmp_path / f"{key}{ENTRY_SUFFIX}").read_text())
+        record = entry["result"]
         rebuilt = result_from_dict(record)
         original = report.cells[jobs[0].key]
         assert rebuilt.to_dict() == original.to_dict()
-        assert record["key"] == jobs[0].key
-        assert record["seed"] is None            # the *requested* seed
+        assert entry["key"] == key
+        assert entry["job"]["seed"] is None      # the *requested* seed
         assert record["effective_seed"] is not None

@@ -331,19 +331,19 @@ class TestHarnessTelemetry:
     def test_inline_sweep_exports_per_cell_artifacts(self, tmp_path):
         jobs = make_grid(["exchange2", "xz"], ["swque"],
                          num_instructions=4_000)
-        report = run_sweep(jobs, executor="inline", telemetry_dir=tmp_path)
+        report = run_sweep(jobs, max_workers=0, telemetry_dir=tmp_path)
         assert report.all_ok
         for job in jobs:
             stems = {p.name for p in tmp_path.iterdir()}
             for suffix in (".timeline.jsonl", ".events.jsonl", ".trace.json"):
                 assert any(s.endswith(suffix) for s in stems)
-        # Results crossing checkpoint/pipe boundaries stay light: the
+        # Results crossing cache/pipe boundaries stay light: the
         # sink is stripped after export.
         for result in report.cells.values():
             assert result.telemetry is None
 
     def test_telemetry_off_by_default_in_sweeps(self, tmp_path):
         jobs = make_grid(["exchange2"], ["age"], num_instructions=3_000)
-        report = run_sweep(jobs, executor="inline")
+        report = run_sweep(jobs, max_workers=0)
         assert report.all_ok
         assert all(r.telemetry is None for r in report.cells.values())
