@@ -9,10 +9,9 @@ paper's qualitative shape, and writes the regenerated rows to
 Simulation batches run through the fault-tolerant sweep harness
 (:mod:`repro.sim.harness`): the figure experiments ride it transitively
 via :func:`repro.sim.runner.run_policies`, and :func:`bench_sweep` below
-is the direct front for grid-shaped benchmarks — one transient retry per
-cell, and a permanent failure aborts with the *complete* per-cell report
-(tracebacks and partial stats included) instead of a bare mid-sweep
-exception.
+is the direct front for grid-shaped benchmarks — a failed cell aborts
+with the *complete* per-cell report (tracebacks and partial stats
+included) instead of a bare mid-sweep exception.
 """
 
 from __future__ import annotations
@@ -65,20 +64,18 @@ def bench_sweep(
     config=MEDIUM,
     num_instructions=BENCH_INSTRUCTIONS,
     seed=None,
-    retries=1,
 ):
     """Run a (workload x policy) grid through the resilient harness.
 
-    Returns ``results[workload][policy]`` like ``run_policies``.  Cells
-    that diverge are retried once; if anything still fails, the whole
-    harness report (statuses, tracebacks, partial stats) goes into the
-    AssertionError so the benchmark log shows *which* cells died and how
-    far they got.
+    Returns ``results[workload][policy]`` like ``run_policies``.  If any
+    cell fails, the whole harness report (statuses, tracebacks, partial
+    stats) goes into the AssertionError so the benchmark log shows
+    *which* cells died and how far they got.
     """
     jobs = make_grid(
         workloads, policies, configs=(config,),
         num_instructions=num_instructions, seed=seed,
     )
-    report = run_sweep(jobs, max_workers=0, retries=retries)
+    report = run_sweep(jobs, max_workers=0)
     assert report.all_ok, f"benchmark sweep had failures:\n{report.summary()}"
     return report.by_workload()

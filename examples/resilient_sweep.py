@@ -2,10 +2,12 @@
 """A sweep that survives crashing, hanging, and diverging cells.
 
 Runs a small workload x policy grid through the fault-tolerant harness
-with three chaos cells injected: one that crashes its worker, one that
-hangs past the wall-clock timeout, and one that diverges under an
-impossibly tight cycle budget (a *transient* failure, retried with
-backoff).  The sweep still completes: every healthy cell returns its
+with three chaos cells injected: one that crashes its worker and one
+that hangs past the wall-clock timeout (each a lost worker, re-run once
+after a backoff: the one failure a re-run can cure), and one that
+diverges under an impossibly tight cycle budget (deterministic, so it
+fails after one attempt: a re-run would diverge at the same cycle).  The
+sweep still completes: every healthy cell returns its
 result, every broken cell is reported as a FailedResult with its
 traceback and partial progress.  Every healthy cell lands in a result
 cache as it finishes, so a second sweep of the healthy grid restores it
@@ -43,8 +45,8 @@ def main() -> None:
         # A worker that wedges; the harness kills it at the timeout.
         SweepJob("x264", "swque", MEDIUM, instructions,
                  fault=FaultSpec("hang", at_cycle=500, hang_seconds=600)),
-        # A run that cannot converge in its cycle budget: transient,
-        # retried with exponential backoff before being reported.
+        # A run that cannot converge in its cycle budget.  The simulator
+        # is deterministic, so it is reported after one attempt.
         SweepJob("nab", "age", MEDIUM, instructions, max_cycles=1_000),
     ]
 
@@ -53,7 +55,7 @@ def main() -> None:
     report = run_sweep(
         jobs,
         timeout=15.0,       # wall-clock guard per cell
-        retries=1,          # one backoff-delayed re-run for transient failures
+        retries=1,          # one backoff-delayed re-run for a lost worker
         backoff=0.5,
         cache_dir=cache_dir,
         on_result=lambda job, result: print("  " + result.summary()),

@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="fault-tolerant workload x policy sweep (supervised workers, "
-             "retries, resume from a result cache)",
+             "lost-worker retries, resume from a result cache)",
     )
     sweep.add_argument("--workloads", nargs="+", default=None,
                        choices=sorted(SPEC2017_PROFILES),
@@ -130,9 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-job wall-clock budget; overrunning workers "
                             "are killed (ignored with --jobs 0)")
     sweep.add_argument("--retries", type=int, default=1,
-                       help="extra attempts for transient failures (default 1)")
+                       help="extra attempts for a cell whose worker was "
+                            "lost (crash, hang, timeout); a cell that fails "
+                            "is deterministic and never re-run (default 1; "
+                            "ignored with --jobs 0)")
     sweep.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
-                       help="base retry delay, doubled per attempt (default 0.5)")
+                       help="base delay before re-running a lost worker's "
+                            "cell, doubled per attempt (default 0.5)")
     sweep.add_argument("--max-cycles", type=int, default=None,
                        help="per-run cycle budget (divergence watchdog)")
     sweep.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -193,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="heartbeat staleness before a worker is "
                            "declared hung and killed (default 10)")
-    node.add_argument("--retries", type=int, default=1,
-                      help="transient-failure retries per job (default 1)")
     node.add_argument("--drain-timeout", type=float, default=30.0,
                       metavar="SECONDS",
                       help="on SIGINT/SIGTERM, keep working for up to this "
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
         progress = {"done": 0, "failed": 0, "retried": 0}
         meter = RateMeter()
 
-        def on_result(job, result):
+        def on_result(job, result):  # restored cells included
             progress["done"] += 1
             if not result.ok:
                 progress["failed"] += 1
@@ -478,7 +480,6 @@ def main(argv=None) -> int:
                 workers=args.workers,
                 max_backlog=args.backlog,
                 timeout=args.timeout,
-                retries=args.retries,
                 max_job_crashes=args.max_job_crashes,
                 heartbeat_timeout=args.heartbeat_timeout,
                 quota_rate=args.quota_rate,
@@ -527,7 +528,6 @@ def main(argv=None) -> int:
             max_job_crashes=args.max_job_crashes,
             job_timeout=args.timeout,
             heartbeat_timeout=args.heartbeat_timeout,
-            retries=args.retries,
         )
         node.start()
         print(f"repro work: node {node.node_id} pulling from "

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cpu.fu import FunctionUnitPool
 
 #: Valid grant/structural guard modes (see :attr:`IssueQueue.guards`).
-GUARD_MODES = ("full", "sampled", "off")
+GUARD_MODES = ("full", "sampled")
 
 #: Sampled guards check one grant (or cycle) in ``GUARD_SAMPLE_PERIOD``.
 #: A power of two keeps the hot-path test a single AND.
@@ -117,7 +117,7 @@ class IssueQueue(ABC):
         self.interval_issues = 0
         self.interval_low_issues = 0
         #: Grant-guard mode: "full" checks every grant, "sampled" one in
-        #: :data:`GUARD_SAMPLE_PERIOD`, "off" none.  Set by the pipeline
+        #: :data:`GUARD_SAMPLE_PERIOD`.  Set by the pipeline
         #: (full when a fault injector is attached, sampled otherwise).
         self.guards = "full"
         self._guard_grants = 0
@@ -177,7 +177,7 @@ class IssueQueue(ABC):
         """The per-grant invariant checks (the guard layer's grant half).
 
         Run for every grant in "full" mode, for one grant in
-        :data:`GUARD_SAMPLE_PERIOD` in "sampled" mode, never in "off".
+        :data:`GUARD_SAMPLE_PERIOD` in "sampled" mode.
         The checks are side-effect free, so sampling them cannot change
         simulation behaviour on a healthy run.
         """
@@ -205,7 +205,7 @@ class IssueQueue(ABC):
         for inst in granted:
             if guards == "full":
                 self._guard_grant(inst)
-            elif guards == "sampled":
+            else:
                 self._guard_grants += 1
                 if not self._guard_grants & (GUARD_SAMPLE_PERIOD - 1):
                     self._guard_grant(inst)

@@ -366,10 +366,7 @@ class Pipeline:
         forward-progress watchdog stays always-on: it has semantics (it
         terminates livelocked runs) and is a couple of integer compares.
         """
-        guards = self.guards
-        if guards == "full" or (
-            guards == "sampled" and not cycle & (GUARD_SAMPLE_PERIOD - 1)
-        ):
+        if self.guards == "full" or not cycle & (GUARD_SAMPLE_PERIOD - 1):
             if len(self.rob) > self.rob.capacity:
                 raise InvariantViolation(
                     "rob-occupancy",

@@ -96,7 +96,6 @@ class WorkerNode:
         max_job_crashes: int = DEFAULT_MAX_JOB_CRASHES,
         job_timeout: Optional[float] = None,
         heartbeat_timeout: float = 10.0,
-        retries: int = 1,
         fsync: bool = True,
         job_runner: Optional[Callable] = None,
         counters: Optional[CounterSet] = None,
@@ -131,7 +130,6 @@ class WorkerNode:
         self.pool = ProcessWorkerPool(
             size=workers,
             job_runner=job_runner,
-            retries=retries,
             heartbeat_timeout=heartbeat_timeout,
             job_timeout=job_timeout,
         )

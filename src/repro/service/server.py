@@ -224,7 +224,6 @@ class ReproService:
         workers: int = 2,
         max_backlog: int = 64,
         timeout: Optional[float] = None,
-        retries: int = 1,
         job_runner=None,
         max_job_crashes: int = 2,
         heartbeat_timeout: float = 10.0,
@@ -289,7 +288,7 @@ class ReproService:
                 self.node = WorkerNode(
                     self.queue, cache_dir=self.cache, workers=workers,
                     job_timeout=timeout, heartbeat_timeout=heartbeat_timeout,
-                    retries=retries, job_runner=job_runner,
+                    job_runner=job_runner,
                     counters=self.jobs,
                 )
                 self.node.breaker = self.breaker

@@ -9,9 +9,10 @@ simulation cannot wedge the node, and an interpreter-killing bug
 
 Each worker:
 
-* runs dispatched jobs through the harness retry loop
-  (:func:`repro.sim.harness.run_job_with_retries`), so transient
-  failures retry with backoff *inside* the worker;
+* runs each dispatched job exactly once
+  (:func:`repro.sim.harness.run_job_once`) and sends back its result; a
+  simulation that raises is reported as a failed cell, not re-run — the
+  simulator is deterministic, so it would raise again;
 * emits a **heartbeat** — a shared ``multiprocessing.Value`` double it
   refreshes from a daemon thread every :data:`HEARTBEAT_INTERVAL` seconds.
   A worker that is SIGSTOPped, deadlocked, or spinning in C code stops
@@ -30,10 +31,13 @@ event instead of an exception:
   the worker is SIGKILLed.
 
 In every case the dead worker is **restarted** immediately (the pool
-never shrinks) and the node decides the in-flight job's fate: release
-its lease with a crash charge, or — after ``max_job_crashes`` worker
-losses — quarantine it as a poison job rather than crash-looping the
-fleet forever.  A sweep retries the cell as a transient failure.
+never shrinks), and the loop that owns the pool decides the in-flight
+job's fate.  Losing a worker is the one failure that a re-run can cure,
+so that is where retries live.  A node releases the job's lease with a
+crash charge, or quarantines it as a poison job after
+``max_job_crashes`` worker losses rather than crash-looping the fleet
+forever.  A sweep re-dispatches the cell after a backoff, up to its
+``retries``.
 """
 
 from __future__ import annotations
@@ -44,20 +48,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.sim.harness import (
-    SweepJob,
-    TRANSIENT_ERRORS,
-    WORKER_LOSS_KINDS,
-    _run_job,
-    run_job_with_retries,
-)
+from repro.sim.harness import WORKER_LOSS_KINDS, SweepJob, _run_job, run_job_once
 from repro.telemetry.metrics import CounterSet
 
 #: Seconds between worker heartbeat refreshes.
 HEARTBEAT_INTERVAL = 0.25
-
-#: Harness backoff between a worker's in-process retries, seconds.
-RETRY_BACKOFF = 0.5
 
 #: Default staleness bound before a silent worker is declared hung.
 #: Generous: a healthy worker beats ~40x within it even under full
@@ -70,7 +65,6 @@ def _pool_worker_loop(
     supervisor_end,
     heartbeat,
     job_runner: Optional[Callable],
-    retries: int,
 ) -> None:
     """Worker-process entry: beat, receive jobs, report results.
 
@@ -103,13 +97,9 @@ def _pool_worker_loop(
             if message[0] == "stop":
                 return
             job = message[1]
-            result = run_job_with_retries(
-                job,
-                retries=retries,
-                backoff=RETRY_BACKOFF,
-                transient=TRANSIENT_ERRORS,
-                job_runner=runner,
-            )
+            result = run_job_once(job, runner, {})
+            if not result.ok:
+                result.exception = None  # live exceptions do not pickle reliably
             try:
                 conn.send(("result", result))
             except (OSError, BrokenPipeError):
@@ -161,7 +151,6 @@ class ProcessWorkerPool:
         self,
         size: int,
         job_runner: Optional[Callable] = None,
-        retries: int = 1,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         job_timeout: Optional[float] = None,
     ) -> None:
@@ -173,7 +162,6 @@ class ProcessWorkerPool:
             )
         self.size = size
         self.job_runner = job_runner
-        self.retries = retries
         self.heartbeat_timeout = heartbeat_timeout
         self.job_timeout = job_timeout
         self.counters = CounterSet(
@@ -206,7 +194,6 @@ class ProcessWorkerPool:
                 parent_conn,
                 heartbeat,
                 self.job_runner,
-                self.retries,
             ),
             name="repro-pool-worker",
             daemon=True,

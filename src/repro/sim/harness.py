@@ -15,13 +15,15 @@ inversion: detect, correct, and keep issuing.  :func:`run_sweep` runs
   and its cell reported as a ``WorkerCrashed``/``WorkerHung``/
   ``JobTimeout`` loss.
 
-Failures are data, not crashes: a cell that exhausts its retries becomes
-a :class:`~repro.sim.results.FailedResult` carrying the exception class,
+Failures are data, not crashes: a failed cell becomes a
+:class:`~repro.sim.results.FailedResult` carrying the exception class,
 traceback, attempt count, and the partial
 :class:`~repro.cpu.stats.PipelineStats` that divergence/invariant errors
 attach — so a sweep always returns a complete per-cell results map.
-Transient failures (divergence under a tight cycle budget, a lost
-worker) are retried up to ``retries`` times with exponential backoff.
+The simulator is deterministic, so every run is one attempt: a cell
+that raises (divergence under a tight cycle budget included) would
+raise again.  Only a lost worker is retried, up to ``retries`` times
+with exponential backoff, by the loop that owns the pool.
 
 With ``cache_dir=<dir>``, every successful cell is stored in the
 content-addressed :class:`~repro.service.cache.ResultCache` as it
@@ -57,11 +59,6 @@ CellResult = Union[SimResult, FailedResult]
 #: the failure the pool reports): it died, stopped heart-beating, or
 #: overran its wall-clock budget.
 WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung", "JobTimeout")
-
-#: Error types retried by default: these depend on the cycle budget,
-#: wall-clock budget, or the health of one worker process, so a clean
-#: re-run (possibly after backoff) can succeed.
-TRANSIENT_ERRORS = ("SimulationDiverged",) + WORKER_LOSS_KINDS
 
 
 class SweepFailed(RuntimeError):
@@ -100,13 +97,20 @@ class SweepJob:
 
     @property
     def key(self) -> str:
-        """Human-readable cell identity: the sweep report's key.  Resume
+        """Human-readable cell identity: the sweep report's key.  The
+        cycle cap and warmup appear only when set, so default keys (and
+        the telemetry file names derived from them) stay short.  Resume
         joins on the content address (:func:`repro.service.cache.cache_key`)
-        instead, which also covers budgets, config and package version."""
-        return (
+        instead, which also covers config and package version."""
+        key = (
             f"{self.workload_name}|{self.policy}|{self.config.name}"
             f"|n={self.num_instructions}|seed={self.seed}"
         )
+        if self.max_cycles is not None:
+            key += f"|max_cycles={self.max_cycles}"
+        if self.warmup_instructions is not None:
+            key += f"|warmup={self.warmup_instructions}"
+        return key
 
 
 def make_grid(
@@ -153,7 +157,7 @@ def _validate_jobs(jobs: Sequence[SweepJob]) -> None:
         if job.key in seen:
             raise ValueError(
                 f"duplicate sweep cell {job.key!r}: a sweep needs unique "
-                "(workload, policy, config, length, seed) keys"
+                "(workload, policy, config, budgets, seed) keys"
             )
         seen[job.key] = job
 
@@ -244,6 +248,27 @@ def _failure(job: SweepJob, exc: BaseException, attempts: int) -> FailedResult:
     )
 
 
+def run_job_once(
+    job: SweepJob,
+    job_runner: Callable[..., SimResult],
+    trace_cache: dict,
+) -> CellResult:
+    """Run one cell exactly once; an exception becomes its failed cell.
+
+    The simulator is deterministic, so a run that raised would raise
+    again: there is nothing to retry here.  The failure keeps the live
+    exception as ``.exception`` (so fail-fast callers can re-raise the
+    original error); a caller that sends the result across a process
+    pipe clears it first.
+    """
+    try:
+        return job_runner(job, _trace_cache=trace_cache)
+    except Exception as exc:
+        failure = _failure(job, exc, 1)
+        failure.exception = exc
+        return failure
+
+
 # -- the sweep report ---------------------------------------------------------------
 
 
@@ -256,7 +281,7 @@ class SweepReport:
     restored: int = 0
     #: Cells actually executed this run.
     executed: int = 0
-    #: Transient-failure retries performed (attempts beyond the first).
+    #: Re-dispatches after a lost worker (attempts beyond the first).
     retried: int = 0
     #: The sweep was stopped early by SIGINT/SIGTERM: ``cells`` holds
     #: only the cells that finished (the successes all cached, with a
@@ -349,14 +374,12 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 1,
     backoff: float = 0.5,
-    transient: Sequence[str] = TRANSIENT_ERRORS,
     cache_dir: Optional[Union[str, Path]] = None,
     fail_fast: bool = False,
     snapshot_failures: Optional[Union[str, Path]] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
     on_result: Optional[Callable[[SweepJob, CellResult], None]] = None,
     on_retry: Optional[Callable[[SweepJob, int, str], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
     _job_runner: Callable[..., SimResult] = _run_job,
 ) -> SweepReport:
     """Run every job; always returns a complete per-cell results map.
@@ -364,16 +387,16 @@ def run_sweep(
     By default the cells run on a supervised pool of up to
     ``max_workers`` forked workers (CPU count - 1 when None) with a
     per-job wall-clock ``timeout``; ``max_workers=0`` runs them
-    sequentially in-process (no timeout enforcement, but retries,
-    backoff and the cache still apply) — the right choice for small
+    sequentially in-process (no timeout enforcement and no worker to
+    lose, but the cache still applies) — the right choice for small
     sweeps and deterministic tests.
 
-    Error types in ``transient`` are retried up to ``retries`` extra
-    times, waiting ``backoff * 2**(attempt-1)`` seconds before each
-    re-run; a lost worker counts as its loss kind
-    (:data:`WORKER_LOSS_KINDS`).  Any other exception — or an exhausted
-    retry budget — yields a :class:`~repro.sim.results.FailedResult`
-    cell (or, with ``fail_fast=True``, raises :class:`SweepFailed`).
+    Every cell runs once: the simulator is deterministic, so an
+    exception yields a :class:`~repro.sim.results.FailedResult` cell
+    (or, with ``fail_fast=True``, raises :class:`SweepFailed`) without
+    a re-run.  Only a lost worker (:data:`WORKER_LOSS_KINDS`) is
+    retried, up to ``retries`` extra times, waiting
+    ``backoff * 2**(attempt-1)`` seconds before each re-dispatch.
 
     ``cache_dir=<dir>`` makes the sweep resumable: a cell whose content
     address is in the :class:`~repro.service.cache.ResultCache` there is
@@ -392,10 +415,11 @@ def run_sweep(
     ``telemetry_dir=<dir>`` runs every executed cell with interval
     telemetry and exports per-cell artifacts (``<key>.timeline.jsonl``,
     ``<key>.events.jsonl``, ``<key>.trace.json``) into that directory as
-    each cell completes.  ``on_result(job, result)`` is called for each
-    executed cell, and ``on_retry(job, next_attempt, error_type)`` before
-    each transient-failure re-run (the report counts them in
-    :attr:`SweepReport.retried`).
+    each cell completes.  ``on_result(job, result)`` is called once per
+    cell as it lands in the report: restored cells first, before any
+    cell runs, then each executed cell.  ``on_retry(job, next_attempt,
+    error_type)`` is called before each re-dispatch after a worker loss
+    (the report counts them in :attr:`SweepReport.retried`).
 
     SIGINT/SIGTERM (when running in the main thread) stop the sweep
     gracefully: in-flight workers are killed and a *partial* report
@@ -438,6 +462,8 @@ def run_sweep(
             hit = cache.get(cache_keys[job.key])
             if hit is not None:
                 done[job.key] = hit
+                if on_result is not None:
+                    on_result(job, hit)
         report.restored = len(done)
 
     def note_retry(job: SweepJob, next_attempt: int, error_type: str) -> None:
@@ -479,11 +505,12 @@ def run_sweep(
     try:
         try:
             if max_workers == 0:
-                _run_inline(todo, finish, retries, backoff, transient, sleep,
-                            _job_runner, note_retry)
+                trace_cache: dict = {}
+                for job in todo:
+                    finish(job, run_job_once(job, _job_runner, trace_cache))
             elif todo:
                 _run_pool(todo, finish, min(max_workers, len(todo)), timeout,
-                          retries, backoff, transient, _job_runner, note_retry)
+                          retries, backoff, _job_runner, note_retry)
         except KeyboardInterrupt:
             report.interrupted = True
     finally:
@@ -501,78 +528,6 @@ def run_sweep(
             )
     return report
 
-def run_job_with_retries(
-    job: SweepJob,
-    retries: int = 1,
-    backoff: float = 0.5,
-    transient: Sequence[str] = TRANSIENT_ERRORS,
-    job_runner: Callable[..., SimResult] = _run_job,
-    sleep: Callable[[float], None] = time.sleep,
-) -> CellResult:
-    """One cell through the inline retry/backoff loop; never raises.
-
-    The single-job face of the harness, for callers that own their own
-    process isolation — the service worker pool
-    (:mod:`repro.service.supervisor`) forks long-lived workers and runs
-    each dispatched job through this, so on a worker node transient
-    failures retry *inside* the worker while crashes and hangs are the
-    supervisor's problem (a sweep's pool runs one attempt per dispatch
-    and retries in :func:`run_sweep`).  Always returns a :class:`CellResult`; the live exception a
-    :class:`~repro.sim.results.FailedResult` carries in inline mode is
-    stripped so the result can cross a process pipe.
-    """
-    outcome: Dict[str, CellResult] = {}
-    _run_inline(
-        [job],
-        lambda j, result: outcome.__setitem__(j.key, result),
-        retries,
-        backoff,
-        transient,
-        sleep,
-        job_runner,
-    )
-    result = outcome[job.key]
-    if isinstance(result, FailedResult):
-        result.exception = None  # live exceptions do not pickle reliably
-    return result
-
-
-def _run_inline(
-    todo: Sequence[SweepJob],
-    finish: Callable[[SweepJob, CellResult], None],
-    retries: int,
-    backoff: float,
-    transient: Sequence[str],
-    sleep: Callable[[float], None],
-    job_runner: Callable[..., SimResult],
-    note_retry: Optional[Callable[[SweepJob, int, str], None]] = None,
-) -> None:
-    trace_cache: dict = {}
-    for job in todo:
-        attempt = 1
-        while True:
-            try:
-                result = job_runner(job, _trace_cache=trace_cache)
-                finish(job, result)
-                break
-            except (KeyboardInterrupt, SweepFailed):
-                raise
-            except Exception as exc:
-                if type(exc).__name__ in transient and attempt <= retries:
-                    delay = backoff * (2 ** (attempt - 1))
-                    if delay:
-                        sleep(delay)
-                    attempt += 1
-                    if note_retry is not None:
-                        note_retry(job, attempt, type(exc).__name__)
-                    continue
-                failure = _failure(job, exc, attempt)
-                # Inline-only: keep the live exception so fail-fast callers
-                # (run_policies) can re-raise the original error.
-                failure.exception = exc
-                finish(job, failure)
-                break
-
 
 def _run_pool(
     todo: Sequence[SweepJob],
@@ -581,14 +536,14 @@ def _run_pool(
     timeout: Optional[float],
     retries: int,
     backoff: float,
-    transient: Sequence[str],
     job_runner: Callable[..., SimResult],
     note_retry: Callable[[SweepJob, int, str], None],
 ) -> None:
     """Run ``todo`` on a supervised worker pool driven from this process.
 
-    Each dispatch is one attempt (the pool itself never retries), so a
-    backoff delays the retry of one cell without stalling the rest.
+    Each dispatch is one attempt.  A result, success or failure, is
+    final; a lost worker's cell goes back on the queue after a backoff,
+    which delays that cell without stalling the rest.
     """
     from multiprocessing.connection import wait
 
@@ -597,8 +552,7 @@ def _run_pool(
     # (job, attempt, earliest monotonic dispatch time)
     pending = deque((job, 1, 0.0) for job in todo)
     inflight: Dict[str, int] = {}  # job key -> attempt
-    pool = ProcessWorkerPool(size, job_runner=job_runner, retries=0,
-                             job_timeout=timeout)
+    pool = ProcessWorkerPool(size, job_runner=job_runner, job_timeout=timeout)
     pool.start()
     try:
         while pending or inflight:
@@ -617,25 +571,22 @@ def _run_pool(
                 job = event[2]
                 attempt = inflight.pop(job.key)
                 if event[0] == "result":
-                    result = event[3]
-                    if result.ok:
-                        finish(job, result)
-                        continue
-                else:  # ("lost", job_id, job, kind, message)
-                    result = FailedResult(
-                        workload=job.workload_name,
-                        policy=job.policy,
-                        config=job.config.name,
-                        error_type=event[3],
-                        error_message=event[4],
-                    )
-                if result.error_type in transient and attempt <= retries:
-                    note_retry(job, attempt + 1, result.error_type)
+                    finish(job, event[3])
+                    continue
+                kind, message = event[3], event[4]  # ("lost", id, job, kind, message)
+                if attempt <= retries:
+                    note_retry(job, attempt + 1, kind)
                     pending.append((job, attempt + 1, time.monotonic()
                                     + backoff * 2 ** (attempt - 1)))
                 else:
-                    result.attempts = attempt
-                    finish(job, result)
+                    finish(job, FailedResult(
+                        workload=job.workload_name,
+                        policy=job.policy,
+                        config=job.config.name,
+                        error_type=kind,
+                        error_message=message,
+                        attempts=attempt,
+                    ))
             if not events:
                 wait(pool.connections(), HEARTBEAT_INTERVAL)
     finally:

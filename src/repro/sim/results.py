@@ -130,9 +130,9 @@ class SimResult:
 class FailedResult:
     """A sweep cell that failed permanently — failure as first-class data.
 
-    Produced by the harness (:mod:`repro.sim.harness`) when a job exhausts
-    its retries: the exception class and message, the full traceback, how
-    many attempts were made, and whatever partial progress the run made
+    Produced by the harness (:mod:`repro.sim.harness`) when a job's run
+    raises or its worker is lost past its retries: the exception class and
+    message, the full traceback, how many attempts were made, and whatever partial progress the run made
     before dying (``cycles`` executed and the partial
     :class:`~repro.cpu.stats.PipelineStats` that exceptions like
     :class:`~repro.cpu.pipeline.SimulationDiverged` carry).

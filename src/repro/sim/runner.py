@@ -39,7 +39,7 @@ def run_policies(
         num_instructions=num_instructions, seed=seed,
     )
     try:
-        report = run_sweep(jobs, max_workers=0, retries=0, fail_fast=True)
+        report = run_sweep(jobs, max_workers=0, fail_fast=True)
     except SweepFailed as exc:
         original = getattr(exc.failure, "exception", None)
         if original is not None:

@@ -74,13 +74,12 @@ def fresh_seq():
     return lambda: next(counter)
 
 
-class GateRunner:
-    """A service job runner whose FIRST execution blocks until
-    :meth:`release` — the deterministic way to hold a worker busy while
-    more submissions land.  Counts every execution.
+class CountingRunner:
+    """A job runner that records the key of every execution, then runs
+    the cell.
 
-    The service runs jobs in forked worker processes, so the runner
-    keeps its state in files under ``root``, not in memory.
+    Pools and the service run jobs in forked worker processes, so the
+    runner keeps its state in files under ``root``, not in memory.
     """
 
     def __init__(self, root) -> None:
@@ -92,13 +91,11 @@ class GateRunner:
 
         with open(self.root / "calls", "a") as handle:
             handle.write(sweep_job.key + "\n")
-        if len(self.calls) == 1:
-            (self.root / "entered").touch()
-            deadline = time.monotonic() + 60.0
-            while not (self.root / "released").exists():
-                assert time.monotonic() < deadline, "gate never released"
-                time.sleep(0.01)
+        self.before_run()
         return _run_job(sweep_job, _trace_cache)
+
+    def before_run(self) -> None:
+        pass
 
     @property
     def calls(self) -> list:
@@ -106,6 +103,21 @@ class GateRunner:
             return (self.root / "calls").read_text().splitlines()
         except FileNotFoundError:
             return []
+
+
+class GateRunner(CountingRunner):
+    """A service job runner whose FIRST execution blocks until
+    :meth:`release` — the deterministic way to hold a worker busy while
+    more submissions land.  Counts every execution.
+    """
+
+    def before_run(self) -> None:
+        if len(self.calls) == 1:
+            (self.root / "entered").touch()
+            deadline = time.monotonic() + 60.0
+            while not (self.root / "released").exists():
+                assert time.monotonic() < deadline, "gate never released"
+                time.sleep(0.01)
 
     def wait_entered(self, timeout: float = 30.0) -> bool:
         deadline = time.monotonic() + timeout

@@ -8,16 +8,17 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import CountingRunner
 from repro.config import MEDIUM
 from repro.cpu.pipeline import SimulationDiverged
 from repro.service.cache import ENTRY_SUFFIX, ResultCache, cache_key
 from repro.sim.faults import FaultSpec
 from repro.sim.harness import (
-    TRANSIENT_ERRORS,
     WORKER_LOSS_KINDS,
     SweepFailed,
     SweepJob,
@@ -50,26 +51,6 @@ def counting_runner(executed):
         return _run_job(job, _trace_cache)
 
     return runner
-
-
-class FlakyOnce:
-    """A job runner whose first call raises a transient error.  Pool
-    workers are forked, so the runner counts its calls in a file."""
-
-    def __init__(self, root) -> None:
-        self.calls_file = Path(root) / "calls"
-        self.calls_file.parent.mkdir(parents=True, exist_ok=True)
-
-    def __call__(self, job, _trace_cache=None):
-        with open(self.calls_file, "a") as handle:
-            handle.write(job.key + "\n")
-        if self.calls == 1:
-            raise SimulationDiverged("transient wobble")
-        return _run_job(job, _trace_cache)
-
-    @property
-    def calls(self) -> int:
-        return len(self.calls_file.read_text().splitlines())
 
 
 class TestSatellites:
@@ -129,6 +110,20 @@ class TestJobsAndValidation:
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             run_sweep([job, job], max_workers=0)
 
+    def test_budgets_set_on_a_cell_are_part_of_its_key(self):
+        job = SweepJob("exchange2", "age", MEDIUM, N)
+        assert job.key == f"exchange2|age|medium|n={N}|seed=None"
+        for twin in (
+            dataclasses.replace(job, max_cycles=10**6),
+            dataclasses.replace(job, warmup_instructions=0),
+        ):
+            report = run_sweep([job, twin], max_workers=0)
+            assert report.all_ok and report.executed == 2
+            assert list(report.cells) == [job.key, twin.key]
+        capped = dataclasses.replace(job, max_cycles=10**6,
+                                     warmup_instructions=500)
+        assert capped.key == job.key + "|max_cycles=1000000|warmup=500"
+
     def test_bad_policy_rejected_before_running(self):
         with pytest.raises(ValueError, match="unknown IQ policy"):
             run_sweep([SweepJob("exchange2", "nope", MEDIUM, N)])
@@ -176,37 +171,16 @@ class TestInlineSweep:
         assert failure.partial_stats.cycles >= 300
         assert "FAILED[SimulationDiverged]" in report.summary()
 
-    def test_transient_failures_retry_with_exponential_backoff(self):
-        delays = []
-        report = run_sweep(
-            [diverging_job()],
-            max_workers=0,
-            retries=3,
-            backoff=0.25,
-            sleep=delays.append,
-        )
+    def test_diverging_cell_runs_once(self):
+        # The simulator is deterministic: a re-run would diverge again.
+        executed = []
+        report = run_sweep([diverging_job()], max_workers=0,
+                           _job_runner=counting_runner(executed))
         failure = report.failures[0]
-        assert failure.attempts == 4
-        assert delays == [0.25, 0.5, 1.0]
-
-    def test_transient_retry_can_succeed(self):
-        calls = []
-
-        def flaky_runner(job, _trace_cache=None):
-            calls.append(job.key)
-            if len(calls) < 3:
-                raise SimulationDiverged("transient wobble")
-            return _run_job(job, _trace_cache)
-
-        report = run_sweep(
-            [SweepJob("exchange2", "age", MEDIUM, N)],
-            max_workers=0,
-            retries=2,
-            backoff=0,
-            _job_runner=flaky_runner,
-        )
-        assert report.all_ok
-        assert len(calls) == 3
+        assert failure.error_type == "SimulationDiverged"
+        assert failure.attempts == 1
+        assert executed == [diverging_job().key]
+        assert report.retried == 0
 
     def test_nontransient_failures_do_not_retry(self):
         calls = []
@@ -231,7 +205,7 @@ class TestInlineSweep:
                       fail_fast=True)
 
     def test_chaos_cell_produces_failed_result(self):
-        # An injected crash is permanent (not transient): one attempt.
+        # An in-process crash is a failure, not a lost worker: one attempt.
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("crash", at_cycle=100))
         report = run_sweep([job], max_workers=0, retries=2, backoff=0)
@@ -416,6 +390,28 @@ class TestProcessExecutor:
         assert failure.error_type == "WorkerCrashed"
         assert "exit code" in failure.error_message
 
+    def test_worker_loss_retries_with_exponential_backoff(self):
+        job = SweepJob("exchange2", "age", MEDIUM, N,
+                       fault=FaultSpec("crash", at_cycle=50, hard=True))
+        started = time.monotonic()
+        report = run_sweep([job], max_workers=1, retries=2, backoff=0.2)
+        elapsed = time.monotonic() - started
+        failure = report.failures[0]
+        assert failure.error_type == "WorkerCrashed"
+        assert failure.attempts == 3
+        assert report.retried == 2
+        assert elapsed >= 0.2 + 0.4  # backoff * 2**(attempt-1), twice
+
+    def test_diverging_cell_runs_once_on_the_pool(self, tmp_path):
+        runner = CountingRunner(tmp_path / "runs")
+        report = run_sweep([diverging_job()], max_workers=1,
+                           _job_runner=runner)
+        failure = report.failures[0]
+        assert failure.error_type == "SimulationDiverged"
+        assert failure.attempts == 1
+        assert runner.calls == [diverging_job().key]
+        assert report.retried == 0 and report.executed == 1
+
     def test_lost_worker_retries_like_a_crash(self):
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("crash", at_cycle=50, hard=True))
@@ -429,20 +425,14 @@ class TestProcessExecutor:
         assert retried == [(job, 2, "WorkerCrashed")]
 
     def test_worker_loss_kinds_are_one_transient_set(self):
+        # Worker losses are the only failures a sweep retries.
         from repro.service import supervisor
+        from repro.sim import harness
 
         assert supervisor.WORKER_LOSS_KINDS is WORKER_LOSS_KINDS
-        assert TRANSIENT_ERRORS == ("SimulationDiverged",) + WORKER_LOSS_KINDS
-        assert "WorkerHung" in TRANSIENT_ERRORS
-
-    def test_flaky_job_runner_retries_on_the_pool(self, tmp_path):
-        runner = FlakyOnce(tmp_path / "flaky")
-        job = SweepJob("exchange2", "age", MEDIUM, N)
-        report = run_sweep([job], max_workers=1, retries=1, backoff=0,
-                           _job_runner=runner)
-        assert report.all_ok
-        assert report.retried == 1 and report.executed == 1
-        assert runner.calls == 2
+        assert WORKER_LOSS_KINDS == ("WorkerCrashed", "WorkerHung",
+                                     "JobTimeout")
+        assert not hasattr(harness, "TRANSIENT_ERRORS")
 
     def test_worker_failure_report_crosses_the_process_boundary(self, tmp_path):
         report = run_sweep([diverging_job()], retries=0, cache_dir=tmp_path)
@@ -503,10 +493,12 @@ class TestKilledSweepResumes:
             f"sweep: 4 cells, 4 ok, 0 failed ({finished} restored from "
             f"cache, {4 - finished} executed)"
         ) in rerun.stdout
-        # Only the cells missing from the cache ran (one line each).
+        # Restored cells count towards the progress, so it reaches its
+        # total; the summary above shows only the missing cells ran.
         progress = [line for line in rerun.stdout.splitlines()
                     if line.startswith("[")]
-        assert len(progress) == 4 - finished
+        assert [line.split("]")[0] for line in progress] == [
+            "[1/4", "[2/4", "[3/4", "[4/4"]
         assert len(ResultCache(cache_dir)) == 4
 
 

@@ -221,8 +221,10 @@ class TestGuardLayer:
 
 class TestGuardModes:
     def test_invalid_guard_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="guards"):
-            build_pipeline(guards="paranoid")
+        # "off" is not a mode: every run keeps at least the sampled guards.
+        for bad in ("paranoid", "off"):
+            with pytest.raises(ValueError, match="guards"):
+                build_pipeline(guards=bad)
 
     def test_default_is_sampled_without_faults(self):
         pipeline = build_pipeline(guards=None)
@@ -238,15 +240,17 @@ class TestGuardModes:
         assert pipeline.iq.guards == "full"
 
     def test_explicit_guards_propagate_to_swque_subqueues(self):
-        pipeline = build_pipeline(policy="swque", guards="off")
+        # Queues are built in "full" mode; the pipeline's choice must
+        # reach both SWQUE sub-queues.
+        pipeline = build_pipeline(policy="swque", guards="sampled")
         iq = pipeline.iq
-        assert iq.guards == "off"
-        assert iq._circ_pc.guards == "off"
-        assert iq._age.guards == "off"
+        assert iq.guards == "sampled"
+        assert iq._circ_pc.guards == "sampled"
+        assert iq._age.guards == "sampled"
 
     def test_guard_mode_does_not_change_results(self):
         digests = set()
-        for guards in ("full", "sampled", "off"):
+        for guards in ("full", "sampled"):
             pipeline = build_pipeline(policy="swque", guards=guards)
             pipeline.run(warmup_instructions=0)
             digests.add(pipeline.commit_digest.hexdigest())

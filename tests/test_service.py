@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import GateRunner
+from conftest import CountingRunner, GateRunner
 from repro.config import MEDIUM
 from repro.service import (
     ReproService,
@@ -186,8 +186,8 @@ class TestSchedulerCore:
             svc.stop()
 
     def test_harness_failure_becomes_failed_record(self):
-        # A diverging cell: the harness retries, then reports FailedResult.
-        svc = ReproService(workers=1, retries=0).start()
+        # A diverging cell: the harness reports it as a FailedResult.
+        svc = ReproService(workers=1).start()
         try:
             client = ServiceClient(svc.url)
             record = client.submit(**spec(max_cycles=300))
@@ -196,6 +196,20 @@ class TestSchedulerCore:
             assert result.error_type == "SimulationDiverged"
             assert client.status(record["id"])["state"] == "failed"
             assert client.metricsz()["scheduler"]["failed"] == 1
+        finally:
+            svc.stop()
+
+    def test_diverging_job_is_simulated_once(self, tmp_path):
+        # Deterministic: a re-run would diverge again, so none is made.
+        runner = CountingRunner(tmp_path / "runs")
+        svc = ReproService(workers=1, job_runner=runner).start()
+        try:
+            client = ServiceClient(svc.url)
+            record = client.submit(**spec(max_cycles=300))
+            result = client.wait_result(record["id"], timeout=120)
+            assert result.error_type == "SimulationDiverged"
+            assert result.attempts == 1
+            assert len(runner.calls) == 1
         finally:
             svc.stop()
 
