@@ -3,8 +3,10 @@
 
 The first pass simulates every cell; the second pass is served entirely
 from the content-addressed result cache (asserted via the per-job
-``cached`` flag and the server's ``/metricsz`` counters).  This script
-doubles as the CI service smoke test.
+``cached`` flag and the server's ``/metricsz`` counters).  Last, one
+payload is submitted twice under one idempotency token: both records
+must carry the same job id, and ``/metricsz`` must count the replay.
+This script doubles as the CI service smoke test.
 
 Start a server, then point the script at it:
 
@@ -18,6 +20,7 @@ service on an ephemeral port and tears it down afterwards.
 import argparse
 import sys
 import tempfile
+import uuid
 
 from repro.service import ReproService, ServiceClient
 
@@ -43,6 +46,18 @@ def run_batch(client: ServiceClient, label: str) -> int:
               f"IPC={result.ipc:5.3f}  "
               f"{'cache hit' if hit else 'simulated'}")
     return hits
+
+
+def replay_token(client: ServiceClient) -> bool:
+    """Submit one payload twice under a per-run token; True when the
+    replay returned the first record's job id and was counted."""
+    token = f"ci-replay-{uuid.uuid4()}"
+    first = client.submit(**BATCH[0], token=token)
+    again = client.submit(**BATCH[0], token=token)
+    dedup = client.metricsz()["scheduler"]["token_dedup"]
+    print(f"token replay: {first['id']} then {again['id']}, "
+          f"token_dedup={dedup}")
+    return first["id"] == again["id"] and dedup >= 1
 
 
 def main() -> int:
@@ -90,7 +105,12 @@ def main() -> int:
             print("FAIL: /metricsz does not report the cache hits",
                   file=sys.stderr)
             return 1
-        print("OK: second pass was served entirely from the result cache")
+        if not replay_token(client):
+            print("FAIL: a replayed token did not return the same job",
+                  file=sys.stderr)
+            return 1
+        print("OK: second pass was served entirely from the result cache, "
+              "and a replayed token returned the same job")
         return 0
     finally:
         if service is not None:

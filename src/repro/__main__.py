@@ -412,19 +412,13 @@ def main(argv=None) -> int:
             seed=args.seed,
             max_cycles=args.max_cycles,
         )
-        from repro.telemetry.profile import RateMeter
-
         total = len(jobs)
         progress = {"done": 0, "failed": 0, "retried": 0}
-        meter = RateMeter()
 
         def on_result(job, result):  # restored cells included
             progress["done"] += 1
             if not result.ok:
                 progress["failed"] += 1
-            stats = result.stats if result.ok else result.partial_stats
-            if stats is not None:
-                meter.add(stats.cycles)
             print(
                 f"[{progress['done']}/{total}] {result.summary()}",
                 flush=True,
@@ -432,7 +426,7 @@ def main(argv=None) -> int:
             print(
                 f"  progress: {progress['done']}/{total} done, "
                 f"{progress['failed']} failed, "
-                f"{progress['retried']} retried, {meter.format_rate()}",
+                f"{progress['retried']} retried",
                 file=sys.stderr,
                 flush=True,
             )

@@ -6,29 +6,32 @@ substrate is a directory — no broker, no database, no coordinator
 process, in the spirit of coordination-free multi-writer queues
 (arXiv:2511.09410).  A single-node ``serve`` is the same protocol with
 a fleet of one: a frontend plus an in-process node over a private queue
-directory (:meth:`DurableQueue.take_over`).  Everything is built from
-three filesystem primitives that are atomic on POSIX: ``O_APPEND``
-writes, ``os.link`` (exclusive publish), and ``os.replace``.
+directory (:meth:`DurableQueue.take_over`).  Every record is one
+immutable file, published by one idiom that is atomic on POSIX: write a
+temp file, then ``os.link`` it to its name (exclusive publish).  Only a
+lease holder rewrites a file, its own claim, with ``os.replace``.
 
 Layout of a queue directory::
 
     queue/
-      segments/seg-<writer>.jsonl   # append-only job intake, one file per
-                                    #   writer (:func:`append_record`)
+      jobs/<job-id>.json            # intake, one file per accepted job
       claims/<job-id>.e<epoch>      # lease files, one per (job, epoch)
       results/<job-id>.json         # committed result envelopes
       nodes/<node-id>.json          # node registry / heartbeat files
 
 The four protocols:
 
-* **Intake** — a frontend appends one self-describing JSON record per
-  accepted job to its *own* segment (single writer per file, so appends
-  never interleave), flushed and fsync'd before the submission is
-  acknowledged.  A crash mid-append leaves a torn trailing record;
-  scanners skip it, warn once, and count it (:func:`load_records` has
-  the same torn-record discipline).  A cache hit needs no worker and
-  skips intake: it settles at once with one envelope that carries its
-  intake fields (:meth:`DurableQueue.settle_unclaimed`).
+* **Intake** — a frontend publishes each accepted job as its own
+  self-describing file ``jobs/<id>.json``, and fsyncs the file and
+  ``jobs/`` before the submission is acknowledged.  A crash mid-publish
+  leaves only an unlinked temp file: nothing was acknowledged.  A job
+  submitted with an idempotency token gets an id derived from the token
+  (:func:`token_job_id`), so the exclusive link also decides token dedup
+  across frontends: whoever loses the race finds the job already
+  admitted.  A cache hit needs no worker and skips intake: it settles
+  at once with one envelope that carries its intake fields
+  (:meth:`DurableQueue.settle_unclaimed`).  The sweep deletes a settled
+  job's intake file; its envelope keeps the intake fields.
 
 * **Claims** — a worker claims job J at epoch E by publishing
   ``claims/J.e<E>`` via temp-file + ``os.link``: the link either
@@ -69,6 +72,7 @@ instead of re-simulating.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import json
 import os
 import time
@@ -80,9 +84,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.metrics import CounterSet
-from repro.verify.snapshot import write_bytes_atomic
 
-#: Bumped whenever segment/claim/result record shapes change.
+#: Bumped whenever intake/claim/result record shapes change.
 QUEUE_SCHEMA_VERSION = 1
 
 #: Default lease duration, seconds.  Renewed at a third of this cadence
@@ -95,24 +98,16 @@ DEFAULT_MAX_JOB_CRASHES = 2
 #: A node registry entry older than this is counted as dead.
 DEFAULT_NODE_TTL = 15.0
 
-#: Seconds an unterminated segment tail must sit unchanged before it is
-#: reported as torn (vs. an append still in flight).
-TORN_GRACE_SECONDS = 2.0
-
 #: Claim files of settled jobs are garbage-collected by :meth:`sweep`
 #: after this many seconds — kept around first so a late fenced writer
 #: is *rejected* (diagnosable) rather than merely deduplicated.
 CLAIM_GC_SECONDS = 60.0
 
 #: A settled job's envelope (its ``/status`` record and ``/result``) is
-#: deleted by :meth:`sweep` this many seconds after it settled, once no
-#: segment holds its intake record.  Bounds ``results/`` by throughput
-#: times this window.
+#: deleted by :meth:`sweep` this many seconds after it settled, once its
+#: intake file is gone.  Bounds ``results/`` by throughput times this
+#: window.
 RESULT_GC_SECONDS = 600.0
-
-#: A writer rewrites its own segment without settled records once this
-#: many of them have accumulated: the segment stays O(backlog + this).
-COMPACT_INTERVAL = 128
 
 #: Ownership locks (:meth:`DurableQueue.take_over`) held by this process.
 #: A forked child closes its copies: the lock belongs to the open file,
@@ -133,16 +128,19 @@ def _close_inherited_locks() -> None:
 os.register_at_fork(after_in_child=_close_inherited_locks)
 
 
-def append_record(path: Union[str, Path], record: dict, fsync: bool = True) -> None:
-    """Append one JSON record durably: write, flush, and (by default)
-    ``fsync`` so an acknowledged record survives power loss, not merely
-    process death."""
-    line = json.dumps(record) + "\n"
-    with open(path, "a") as handle:
-        handle.write(line)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
+def token_job_id(token: str) -> str:
+    """The job id of a submission carrying idempotency ``token``: the
+    same on every frontend, and a safe filename whatever the token."""
+    return "t" + hashlib.sha256(token.encode("utf-8")).hexdigest()[:32]
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make the names just linked into ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_records(path: Union[str, Path]) -> Tuple[List[dict], int]:
@@ -210,7 +208,7 @@ class FencedWrite(RuntimeError):
 
 @dataclass
 class QueueJob:
-    """One intake record, as scanned from a segment."""
+    """One intake record, as read from ``jobs/<id>.json``."""
 
     id: str
     job: dict
@@ -219,7 +217,22 @@ class QueueJob:
     token: Optional[str] = None
     key: Optional[str] = None          # content address (None: uncacheable)
     submitted_at: float = 0.0
-    segment: str = ""
+
+    @classmethod
+    def from_record(cls, job_id: str, record) -> "QueueJob":
+        """Parse an intake record; ``ValueError``/``KeyError``/``TypeError``
+        when it is not one."""
+        if not isinstance(record, dict):
+            raise ValueError("intake record is not an object")
+        return cls(
+            id=job_id,
+            job=record["job"],
+            priority=int(record.get("priority") or 0),
+            tenant=str(record.get("tenant") or "default"),
+            token=record.get("token"),
+            key=record.get("key"),
+            submitted_at=float(record.get("submitted_at") or 0.0),
+        )
 
 
 @dataclass
@@ -235,19 +248,6 @@ class Claim:
     #: Set when a renewal observed a higher epoch: the lease is gone and
     #: any later commit will be fenced.
     lost: bool = field(default=False)
-
-
-class _SegmentTail:
-    """Incremental reader state for one segment file."""
-
-    __slots__ = ("pos", "ino", "partial", "partial_since", "torn_reported")
-
-    def __init__(self) -> None:
-        self.pos = 0
-        self.ino: Optional[int] = None
-        self.partial = b""
-        self.partial_since: Optional[float] = None
-        self.torn_reported = False
 
 
 class DurableQueue:
@@ -298,43 +298,43 @@ class DurableQueue:
             dedup_settles=0,
             quarantined=0,
             singleflight_skips=0,
-            torn_segments=0,
             torn_claims=0,
             torn_records=0,
-            compactions=0,
         )
-        self.segments_dir = self.root / "segments"
+        self.jobs_dir = self.root / "jobs"
         self.claims_dir = self.root / "claims"
         self.results_dir = self.root / "results"
         self.nodes_dir = self.root / "nodes"
-        for directory in (self.segments_dir, self.claims_dir,
+        for directory in (self.jobs_dir, self.claims_dir,
                           self.results_dir, self.nodes_dir):
             directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         # Notified on every local commit: a waiter on this handle wakes
         # at once instead of at its next poll.
         self._settled_cond = threading.Condition(self._lock)
-        self._segment_path = self.segments_dir / f"seg-{self.node_id}.jsonl"
         self._seq = 0
         self._nonce = uuid.uuid4().hex[:8]
-        self._jobs: Dict[str, QueueJob] = {}
-        self._tails: Dict[str, _SegmentTail] = {}
-        self._settled: set = set()
+        self._jobs: Dict[str, QueueJob] = {}      # id -> listed intake file
+        self._torn_intake: set = set()
         self._result_meta: Dict[str, dict] = {}   # id -> envelope sans result
         self._result_keys: Dict[str, str] = {}    # content key -> settled id
         self._claims: Dict[str, dict] = {}        # id -> highest-epoch info
-        self._tokens: Dict[str, str] = {}         # idempotency token -> id
         self._torn_claim_files: set = set()
-        self._own_settled = 0       # settled records in our segment
+        self._upgraded = False      # segments of an earlier build imported
         self._pruned = dict.fromkeys(("done", "failed", "quarantined",
                                       "cached", "deduped"), 0)
         self._owner_lock: Optional[int] = None    # fd, see take_over
 
     # -- intake (frontend role) -------------------------------------------------------
 
-    def _next_id(self) -> str:
+    def _new_id(self, token: Optional[str]) -> str:
+        if token is not None:
+            return token_job_id(token)
         self._seq += 1
         return f"j{self._nonce}-{self._seq:06d}"
+
+    def _intake_path(self, job_id: str) -> Path:
+        return self.jobs_dir / f"{job_id}.json"
 
     def append(
         self,
@@ -347,202 +347,143 @@ class DurableQueue:
     ) -> QueueJob:
         """Durably enqueue one job; returns its intake record.
 
-        The record is on disk (flushed, fsync'd by default) before this
-        returns — acknowledging a submission *is* the durability point.
+        The intake file and its name are on disk (fsync'd by default)
+        before this returns — acknowledging a submission *is* the
+        durability point.  A job with a ``token`` gets the token's id
+        (:func:`token_job_id`); if any handle already admitted it, this
+        writes nothing and returns the existing job.
         """
         with self._lock:
-            record_id = job_id or self._next_id()
             entry = QueueJob(
-                id=record_id,
+                id=job_id or self._new_id(token),
                 job=job,
                 priority=int(priority),
                 tenant=tenant,
                 token=token,
                 key=key,
                 submitted_at=self._clock(),
-                segment=self._segment_path.name,
             )
-            append_record(self._segment_path, self._intake_record(entry),
-                          fsync=self.fsync)
+            if not self._publish_exclusive(self._intake_record(entry),
+                                           self._intake_path(entry.id),
+                                           sync_dir=True):
+                return (self._jobs.get(entry.id)
+                        or self._read_intake(entry.id) or entry)
             self._jobs[entry.id] = entry
-            if token:
-                self._tokens.setdefault(token, entry.id)
             self.counters.inc("appended")
             return entry
 
-    def compact_segment(self) -> int:
-        """Rewrite this writer's own segment without settled jobs.
-
-        :meth:`scan` does this by itself every :data:`COMPACT_INTERVAL`
-        settled records.  Only the segment's owner may compact it
-        (single-writer rule: a foreign compactor would race the owner's
-        appends and lose acknowledged records).  Returns how many
-        records were dropped.  Other nodes observe the inode change and
-        rescan from offset 0 — re-reading a compacted segment is
-        idempotent.
-        """
+    def admitted(self, job_id: str) -> bool:
+        """Whether any handle admitted ``job_id``: this handle knows it,
+        or its intake file or envelope exists.  Two ``stat``s at most;
+        no directory is listed."""
         with self._lock:
-            return self.scan() + self._rewrite_segment()
-
-    def _rewrite_segment(self) -> int:
-        name = self._segment_path.name
-        self._own_settled = 0
-        mine = [entry for entry in self._jobs.values() if entry.segment == name]
-        keep = [entry for entry in mine if entry.id not in self._settled]
-        if len(keep) == len(mine):
-            return 0
-        write_bytes_atomic(
-            "".join(json.dumps(self._intake_record(entry)) + "\n"
-                    for entry in keep).encode("utf-8"),
-            self._segment_path,
-        )
-        # Settled envelopes carry the intake fields: drop the records
-        # from memory too, and rescan our own segment from scratch.
-        for entry in mine:
-            if entry.id in self._settled:
-                del self._jobs[entry.id]
-        self._tails.pop(name, None)
-        self.counters.inc("compactions")
-        return len(mine) - len(keep)
+            return (job_id in self._jobs or job_id in self._result_meta
+                    or self._intake_path(job_id).exists()
+                    or self._result_path(job_id).exists())
 
     # -- scanning ---------------------------------------------------------------------
 
-    def scan(self) -> int:
-        """Refresh this handle's view of segments, results, and claims,
-        and compact this writer's segment when it is due; returns how
-        many records that compaction dropped."""
+    def scan(self) -> None:
+        """Refresh this handle's view of intake, results and claims, in
+        that order: a job settles before its intake file is collected,
+        so one whose file vanished mid-scan is among the results."""
         with self._lock:
-            self._scan_segments()
+            if not self._upgraded:
+                self._upgraded = True
+                self._import_segments()
+            self._scan_intake()
             self._scan_results()
             self._scan_claims()
-            if self._own_settled < COMPACT_INTERVAL:
-                return 0
-            return self._rewrite_segment()
 
-    def _scan_segments(self) -> None:
+    def _scan_intake(self) -> None:
+        """Read the intake files this handle has not seen; forget those
+        gone (settled and collected).  A corrupt one is counted once."""
         try:
-            names = sorted(
-                entry.name for entry in os.scandir(self.segments_dir)
-                if entry.name.endswith(".jsonl")
-            )
+            listed = {
+                entry.name[: -len(".json")]
+                for entry in os.scandir(self.jobs_dir)
+                if entry.name.endswith(".json")
+            }
         except OSError:
             return
-        for name in names:
-            self._tail_segment(name)
+        for job_id in self._jobs.keys() - listed:
+            del self._jobs[job_id]
+        self._torn_intake &= listed
+        for job_id in listed - self._jobs.keys() - self._torn_intake:
+            self._read_intake(job_id)
 
-    def _tail_segment(self, name: str) -> None:
-        path = self.segments_dir / name
-        tail = self._tails.setdefault(name, _SegmentTail())
+    def _read_intake(self, job_id: str) -> Optional[QueueJob]:
         try:
-            st = path.stat()
+            raw = self._intake_path(job_id).read_bytes()
         except OSError:
-            return
-        if tail.ino is not None and (st.st_ino != tail.ino
-                                     or st.st_size < tail.pos):
-            # Compacted (atomic replace) or truncated: forget what it
-            # held and rescan from 0.  The owner compacts only settled
-            # records away, so every unsettled one comes back.
-            for job_id in [job_id for job_id, entry in self._jobs.items()
-                           if entry.segment == name]:
-                del self._jobs[job_id]
-            tail.pos = 0
-            tail.partial = b""
-            tail.partial_since = None
-        tail.ino = st.st_ino
-        if st.st_size <= tail.pos:
-            self._check_torn_tail(name, tail, st)
-            return
+            return None  # collected since it was listed
         try:
-            with open(path, "rb") as handle:
-                handle.seek(tail.pos)
-                data = handle.read()
-        except OSError:
-            return
-        lines = data.split(b"\n")
-        partial = lines.pop()              # b"" when data ends on a newline
-        consumed = len(data) - len(partial)
-        for raw in lines:
-            raw = raw.strip()
-            if raw:
-                self._ingest_line(raw, name)
-        tail.pos += consumed
-        if partial != tail.partial:
-            tail.partial = partial
-            tail.partial_since = self._clock() if partial else None
-            tail.torn_reported = False
-        self._check_torn_tail(name, tail, st)
-
-    def _check_torn_tail(self, name: str, tail: _SegmentTail, st) -> None:
-        """Report (once per tear) a trailing partial record that has sat
-        unchanged past the grace period: its writer crashed mid-append.
-        The bytes stay buffered, not skipped — if the same writer
-        somehow appends again, the merged garbage line is dropped by the
-        normal parse path and later records are recovered."""
-        if (
-            tail.partial
-            and not tail.torn_reported
-            and tail.partial_since is not None
-            and self._clock() - tail.partial_since >= TORN_GRACE_SECONDS
-        ):
-            tail.torn_reported = True
-            self.counters.inc("torn_segments")
-            warnings.warn(
-                f"queue segment {name} ends in a torn record "
-                f"({len(tail.partial)} bytes, writer crashed mid-append?); "
-                f"it was skipped and costs only the record being written",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def _ingest_line(self, raw: bytes, segment: str) -> None:
-        try:
-            record = json.loads(raw)
-            if not isinstance(record, dict) or record.get("op") != "job":
-                raise ValueError("not a job record")
-            entry = QueueJob(
-                id=str(record["id"]),
-                job=record["job"],
-                priority=int(record.get("priority") or 0),
-                tenant=str(record.get("tenant") or "default"),
-                token=record.get("token"),
-                key=record.get("key"),
-                submitted_at=float(record.get("submitted_at") or 0.0),
-                segment=segment,
-            )
+            entry = QueueJob.from_record(job_id, json.loads(raw))
         except (ValueError, KeyError, TypeError):
+            self._torn_intake.add(job_id)
             self.counters.inc("torn_records")
-            return
-        self._jobs.setdefault(entry.id, entry)
-        if entry.token:
-            self._tokens.setdefault(str(entry.token), entry.id)
+            return None
+        self._jobs[job_id] = entry
+        return entry
+
+    def _import_segments(self) -> None:
+        """One-time upgrade: publish each unsettled job of an earlier
+        build's intake segments (``segments/seg-*.jsonl``) as its intake
+        file under its id, then delete the segment.  The publish is
+        exclusive, so concurrent importers and an import cut short by a
+        crash are harmless."""
+        segments = self.root / "segments"
+        for path in sorted(segments.glob("seg-*.jsonl")):
+            records, torn = load_records(path)
+            for record in records:
+                try:
+                    if record.get("op") != "job":
+                        raise ValueError("not a job record")
+                    entry = QueueJob.from_record(str(record["id"]), record)
+                except (ValueError, KeyError, TypeError):
+                    torn += 1
+                    continue
+                if not self._result_path(entry.id).exists():
+                    self._publish_exclusive(self._intake_record(entry),
+                                            self._intake_path(entry.id))
+            self.counters.inc("torn_records", torn)
+            if self.fsync:
+                _fsync_dir(self.jobs_dir)
+            path.unlink(missing_ok=True)
+        try:
+            segments.rmdir()
+        except OSError:
+            pass
 
     def _scan_results(self) -> None:
         try:
-            names = [
-                entry.name for entry in os.scandir(self.results_dir)
+            listed = {
+                entry.name[: -len(".json")]
+                for entry in os.scandir(self.results_dir)
                 if entry.name.endswith(".json")
-            ]
+            }
         except OSError:
             return
-        for name in names:
-            job_id = name[: -len(".json")]
-            if job_id in self._settled:
-                continue
+        for job_id in self._result_meta.keys() - listed:
+            self._forget(job_id)  # collected by another handle's sweep
+        for job_id in listed - self._result_meta.keys():
             envelope = self.read_result(job_id)
             if envelope is not None:
                 envelope.pop("result", None)
                 self._remember_settled(job_id, envelope)
 
     def _remember_settled(self, job_id: str, meta: dict) -> None:
-        entry = self._jobs.get(job_id)
-        if entry is not None and entry.segment == self._segment_path.name:
-            self._own_settled += 1
-        self._settled.add(job_id)
         self._result_meta[job_id] = meta
         if meta.get("key"):
             self._result_keys.setdefault(meta["key"], job_id)
-        if meta.get("token"):
-            self._tokens.setdefault(str(meta["token"]), job_id)
+
+    def _forget(self, job_id: str) -> None:
+        """Drop a settled job whose envelope was collected; its outcome
+        stays counted in :meth:`metrics`."""
+        meta = self._result_meta.pop(job_id)
+        if self._result_keys.get(meta.get("key")) == job_id:
+            del self._result_keys[meta["key"]]
+        self._count_outcome(self._pruned, meta)
 
     def _claim_files(self) -> List[Tuple[str, int, os.DirEntry]]:
         """(job id, epoch, entry) of every published claim file."""
@@ -566,7 +507,7 @@ class DurableQueue:
         self._claims = {
             # A settled job needs only the epoch (from the filename), to
             # fence a late writer: skip its body read.
-            job_id: (_stand_in(job_id, epoch) if job_id in self._settled
+            job_id: (_stand_in(job_id, epoch) if job_id in self._result_meta
                      else self._parse_claim(job_id, epoch, name))
             for job_id, (epoch, name) in highest.items()
         }
@@ -625,14 +566,15 @@ class DurableQueue:
         return tmp
 
     def _publish_exclusive(self, payload: dict, target: Path,
-                           fsync: bool = True) -> bool:
+                           fsync: bool = True, sync_dir: bool = False) -> bool:
         """Write ``payload`` to a temp file, then ``os.link`` it to
         ``target``: the name appears atomically with complete content,
-        and only for exactly one caller."""
+        and only for exactly one caller.  ``sync_dir`` also fsyncs the
+        directory, so the name itself survives power loss — the rule for
+        a name that acknowledges a job or a computed outcome."""
         tmp = self._write_temp(payload, target.parent, fsync)
         try:
             os.link(tmp, target)
-            return True
         except FileExistsError:
             return False
         finally:
@@ -640,6 +582,9 @@ class DurableQueue:
                 tmp.unlink()
             except OSError:
                 pass
+        if sync_dir and self.fsync:
+            _fsync_dir(target.parent)
+        return True
 
     def _acquire(self, job_id: str, epoch: int, crashes: int) -> Optional[Claim]:
         now = self._clock()
@@ -683,7 +628,7 @@ class DurableQueue:
             live_keys = set()
             candidates = []
             for entry in self._jobs.values():
-                if entry.id in self._settled:
+                if entry.id in self._result_meta:
                     continue
                 claim_info = self._claims.get(entry.id)
                 if claim_info is not None and claim_info["expires_at"] > now:
@@ -732,7 +677,7 @@ class DurableQueue:
         twin = self.read_result(twin_id)
         if twin is None:  # pragma: no cover - settled set said it exists
             return
-        outcome = self._publish_result(
+        if self._publish_result(
             entry.id,
             twin.get("result"),
             state=str(twin.get("state") or "done"),
@@ -741,9 +686,10 @@ class DurableQueue:
             intake=self._intake(entry),
             deduped=True,
             cached=bool(twin.get("cached")),
-        )
-        if outcome == "committed":
+        ):
             self.counters.inc("dedup_settles")
+        else:
+            self.counters.inc("duplicate_commits")
 
     def renew(self, claim: Claim) -> bool:
         """Refresh a held lease; False when the lease has been reclaimed.
@@ -834,7 +780,7 @@ class DurableQueue:
                     f"(this node was presumed dead)"
                 )
             entry = self._jobs.get(claim.job_id)
-            return self._publish_result(
+            if self._publish_result(
                 claim.job_id,
                 result,
                 state=state,
@@ -843,7 +789,10 @@ class DurableQueue:
                 intake=self._intake(entry) if entry is not None else {},
                 cached=cached,
                 crashes=claim.crashes,
-            )
+            ):
+                return "committed"
+            self.counters.inc("duplicate_commits")
+            return "duplicate"
 
     def settle_unclaimed(
         self,
@@ -859,13 +808,15 @@ class DurableQueue:
     ) -> str:
         """Settle a job that needs no worker — a cache hit, or an imported
         quarantine — with one envelope carrying its intake fields and no
-        segment record (nothing can claim it, so no fence is needed).
-        Returns the job id.  A cache hit's envelope is not fsync'd: its
-        result is a copy of a durable one and it has no intake record, so
-        power loss costs at most a resubmission, while an fsync would be
-        most of a cache hit's latency."""
+        intake file (nothing can claim it, so no fence is needed).
+        Returns the job id: the token's (:func:`token_job_id`) when
+        ``token`` is given, and if that job already settled this writes
+        nothing.  A cache hit's envelope is not fsync'd: its result is a
+        copy of a durable one and it has no intake file, so power loss
+        costs at most a resubmission, while an fsync would be most of a
+        cache hit's latency."""
         with self._lock:
-            job_id = job_id or self._next_id()
+            job_id = job_id or self._new_id(token)
             self._publish_result(
                 job_id, result, state=state, node=self.node_id, epoch=0,
                 intake={"job": job, "priority": int(priority),
@@ -898,7 +849,8 @@ class DurableQueue:
         cached: bool = False,
         crashes: int = 0,
         fsync: bool = True,
-    ) -> str:
+    ) -> bool:
+        """Publish ``job_id``'s envelope; False when it already exists."""
         meta = {
             "schema": QUEUE_SCHEMA_VERSION,
             "job_id": job_id,
@@ -913,13 +865,13 @@ class DurableQueue:
         }
         meta.update(intake)
         if not self._publish_exclusive(dict(meta, result=result),
-                                       self._result_path(job_id), fsync):
-            self.counters.inc("duplicate_commits")
-            return "duplicate"
+                                       self._result_path(job_id),
+                                       fsync=fsync, sync_dir=fsync):
+            return False
         self.counters.inc("commits")
         self._remember_settled(job_id, meta)
         self._settled_cond.notify_all()
-        return "committed"
+        return True
 
     def _quarantine(self, entry: QueueJob, epoch: int, crashes: int) -> None:
         """Settle a poison job fleet-wide: claim it (so concurrent
@@ -1006,19 +958,6 @@ class DurableQueue:
                 "finished_at": info.get("committed_at"),
             }
 
-    def find_token(self, token: str) -> Optional[str]:
-        """The job id a client idempotency token was admitted under, or
-        None.  Tokens ride in intake records and in the envelopes of
-        cache hits, so dedup works across frontends: a retried POST that
-        lands on a different frontend converges once that frontend has
-        seen the record.  An unknown token tails the segments and lists
-        the results; claims cannot hold an unseen token."""
-        with self._lock:
-            if token not in self._tokens:
-                self._scan_segments()
-                self._scan_results()
-            return self._tokens.get(token)
-
     def wait_settled(
         self, job_id: str, timeout: Optional[float] = None, poll: float = 0.05
     ) -> Optional[dict]:
@@ -1040,7 +979,7 @@ class DurableQueue:
                 if wait <= 0:
                     return None
             with self._lock:
-                if job_id not in self._settled:
+                if job_id not in self._result_meta:
                     self._settled_cond.wait(wait)
 
     # -- node registry ----------------------------------------------------------------
@@ -1084,10 +1023,9 @@ class DurableQueue:
         Ownership is an exclusive ``flock`` on ``nodes/<id>.lock``, held
         until :meth:`remove_node`; the kernel drops it when the owner
         dies.  While another live handle holds it this refuses
-        (``RuntimeError``).  Otherwise it drops the predecessor's torn
-        trailing intake record (never acknowledged), releases its leases
-        with no crash charge — so its jobs rerun now, not after a lease
-        timeout — and compacts the segment.
+        (``RuntimeError``).  Otherwise it releases the predecessor's
+        leases with no crash charge, so its jobs rerun now, not after a
+        lease timeout.
         """
         lock_path = self.nodes_dir / f"{self.node_id}.lock"
         fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
@@ -1105,29 +1043,19 @@ class DurableQueue:
         try:
             self.write_node("worker", {"workers": 0})
             with self._lock:
-                self._truncate_torn_tail()
-                self.compact_segment()  # scans
+                self.scan()
                 for job_id, info in self._claims.items():
-                    if (job_id not in self._settled
+                    if (job_id not in self._result_meta
                             and info["node"] == self.node_id
                             and not info["released"]):
                         self.release(Claim(job_id, info["epoch"],
                                            self.node_id, info["crashes"],
                                            0.0, 0.0))
                 return sum(1 for job_id in self._jobs
-                           if job_id not in self._settled)
+                           if job_id not in self._result_meta)
         except BaseException:
             self.remove_node()
             raise
-
-    def _truncate_torn_tail(self) -> None:
-        try:
-            with open(self._segment_path, "rb+") as handle:
-                data = handle.read()
-                if data and not data.endswith(b"\n"):
-                    handle.truncate(data.rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
 
     def fleet(self) -> dict:
         """The fleet view for ``/healthz``/``/metricsz``: who is alive,
@@ -1185,16 +1113,17 @@ class DurableQueue:
     def sweep(self, claim_gc_seconds: float = CLAIM_GC_SECONDS) -> dict:
         """Dead-node housekeeping: quarantine jobs over the fleet crash
         budget even when no node wants to claim them (so waiting clients
-        see a terminal state, not an eternal requeue loop), GC claim
-        files of long-settled jobs, and delete envelopes older than
-        :data:`RESULT_GC_SECONDS`.  Safe to run from any node, any
-        number of times."""
+        see a terminal state, not an eternal requeue loop), delete the
+        intake files of settled jobs (their envelopes carry the intake
+        fields), GC claim files of long-settled jobs, and delete
+        envelopes older than :data:`RESULT_GC_SECONDS`.  Safe to run
+        from any node, any number of times."""
         with self._lock:
             self.scan()
             now = self._clock()
             quarantined = 0
             for entry in list(self._jobs.values()):
-                if entry.id in self._settled:
+                if entry.id in self._result_meta:
                     continue
                 claim_info = self._claims.get(entry.id)
                 if claim_info is None or claim_info["expires_at"] > now:
@@ -1205,9 +1134,16 @@ class DurableQueue:
                 if crashes > self.max_job_crashes:
                     self._quarantine(entry, claim_info["epoch"] + 1, crashes)
                     quarantined += 1
+            for job_id in [job_id for job_id in self._jobs
+                           if job_id in self._result_meta]:
+                try:
+                    self._intake_path(job_id).unlink(missing_ok=True)
+                except OSError:
+                    continue
+                del self._jobs[job_id]
             removed = 0
             for stem, _, file_entry in self._claim_files():
-                if stem not in self._settled:
+                if stem not in self._result_meta:
                     continue
                 # Age by the commit stamp (the queue's own clock), not
                 # file mtime — clocks must come from one domain.
@@ -1225,9 +1161,9 @@ class DurableQueue:
 
     def _gc_results(self, now: float) -> int:
         """Delete envelopes settled over :data:`RESULT_GC_SECONDS` ago
-        whose intake record no segment holds any more (a scan just read
-        every segment), so the job can never look unsettled; returns how
-        many.  Their outcomes stay counted in :meth:`metrics`."""
+        whose intake file is gone (the sweep just deleted the settled
+        ones), so the job can never look unsettled; returns how many.
+        Their outcomes stay counted in :meth:`metrics`."""
         stale = [
             job_id for job_id, meta in self._result_meta.items()
             if job_id not in self._jobs
@@ -1239,13 +1175,7 @@ class DurableQueue:
                 self._result_path(job_id).unlink()
             except FileNotFoundError:
                 pass  # another node collected it first
-            meta = self._result_meta.pop(job_id)
-            self._settled.discard(job_id)
-            if self._result_keys.get(meta.get("key")) == job_id:
-                del self._result_keys[meta["key"]]
-            if self._tokens.get(meta.get("token")) == job_id:
-                del self._tokens[meta["token"]]
-            self._count_outcome(self._pruned, meta)
+            self._forget(job_id)
         return len(stale)
 
     @staticmethod
@@ -1261,7 +1191,7 @@ class DurableQueue:
             self.scan()
             return sum(
                 1 for entry in self._jobs.values()
-                if entry.id not in self._settled
+                if entry.id not in self._result_meta
                 and not self._is_running(entry.id)
             )
 
@@ -1280,7 +1210,7 @@ class DurableQueue:
             pending = running = 0
             oldest_unclaimed: Optional[float] = None
             for entry in self._jobs.values():
-                if entry.id in self._settled:
+                if entry.id in self._result_meta:
                     continue
                 if self._is_running(entry.id):
                     running += 1
@@ -1300,10 +1230,9 @@ class DurableQueue:
                 node=self.node_id,
                 pending=pending,
                 running=running,
-                settled=len(self._settled),
+                settled=len(self._result_meta),
                 outcomes=outcomes,
                 known_jobs=len(self._jobs),
-                segments=len(self._tails),
                 oldest_unclaimed_age_s=(
                     round(oldest_unclaimed, 3)
                     if oldest_unclaimed is not None else None

@@ -50,6 +50,7 @@ from repro.service.queue import (
     DurableQueue,
     failure_result,
     load_records,
+    token_job_id,
 )
 from repro.service.scheduler import (
     DEFAULT_SHED_WATERMARK,
@@ -461,9 +462,10 @@ class ReproService:
         """Validate and admit one submission payload; returns its record.
 
         A cache hit costs no worker, so it settles at once, before any
-        quota or backlog check.  The token lookup and the settle or
-        append share one lock, so two concurrent posts of one token get
-        one job.
+        quota or backlog check.  A tokened job's id comes from its token,
+        so the replay check is two ``stat``s, and the exclusive publish of
+        that id gives concurrent posts of one token one job, on any
+        frontend.
         """
         job = job_from_dict(payload)
         priority = int(payload.get("priority") or 0)
@@ -481,12 +483,11 @@ class ReproService:
         hit = None
         if key is not None and self.cache is not None:
             hit = self.breaker.guard(lambda: self.cache.get(key), self.jobs)
+        replay = token_job_id(token) if token is not None else None
         with self._admit_lock:
-            if token is not None:
-                existing = self.queue.find_token(token)
-                if existing is not None:
-                    self.jobs.inc("token_dedup")
-                    return self.status_payload(existing)
+            if replay is not None and self.queue.admitted(replay):
+                self.jobs.inc("token_dedup")
+                return self.status_payload(replay)
             self.jobs.inc("submitted")
             self.admission.submitted(tenant)
             if hit is not None:

@@ -52,7 +52,6 @@ from repro.telemetry.probes import (
     resolve_telemetry,
 )
 from repro.telemetry.profile import (
-    RateMeter,
     StageProfiler,
     ThroughputResult,
     bench_payload,
@@ -70,7 +69,6 @@ __all__ = [
     "EV_WARMUP_RESET",
     "CounterSet",
     "IntervalSample",
-    "RateMeter",
     "StageProfiler",
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",

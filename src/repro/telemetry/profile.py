@@ -8,8 +8,6 @@ baseline before any hot-path PR can be judged.  This layer provides:
   profiled stage path (complete/commit/issue/dispatch/tick/guards), so
   the share estimates cost ~1% overhead instead of 6 timer calls per
   cycle.
-* :class:`RateMeter` — a running simulated-cycles/sec meter for live
-  progress lines (the ``sweep`` CLI).
 * :func:`measure_throughput` — run one simulation under the wall clock
   and report cycles/sec and instructions/sec, optionally with telemetry
   attached (to measure its overhead) and stage shares.
@@ -63,34 +61,6 @@ class StageProfiler:
         if total <= 0.0:
             return {name: 0.0 for name in self.stage_seconds}
         return {name: seconds / total for name, seconds in self.stage_seconds.items()}
-
-
-class RateMeter:
-    """Running simulated-cycles/sec over wall time (live progress lines)."""
-
-    def __init__(self) -> None:
-        self._started = time.perf_counter()
-        self.cycles = 0
-
-    def add(self, cycles: int) -> None:
-        self.cycles += cycles
-
-    @property
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._started
-
-    @property
-    def cycles_per_sec(self) -> float:
-        elapsed = self.elapsed
-        return self.cycles / elapsed if elapsed > 0 else 0.0
-
-    def format_rate(self) -> str:
-        rate = self.cycles_per_sec
-        if rate >= 1_000_000:
-            return f"{rate / 1_000_000:.1f}M cyc/s"
-        if rate >= 1_000:
-            return f"{rate / 1_000:.1f}k cyc/s"
-        return f"{rate:.0f} cyc/s"
 
 
 @dataclass

@@ -10,6 +10,7 @@ Everything goes through :class:`ReproService` and its HTTP API.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
@@ -268,6 +269,28 @@ class TestConcurrentAdmission:
         finally:
             first.stop()
             second.stop()
+
+
+    def test_fresh_tokened_admission_lists_no_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A new token is checked with two ``stat``s of its id, not by
+        scanning the queue."""
+        cache_dir = tmp_path / "cache"
+        ResultCache(cache_dir).put(cache_key(job()), simulate(
+            "exchange2", "age", MEDIUM, num_instructions=N))
+        svc = ReproService(cache_dir=cache_dir, queue_dir=tmp_path / "queue")
+        try:
+            listed = []
+            scandir = os.scandir
+            monkeypatch.setattr(os, "scandir", lambda *args: (
+                listed.append(args) or scandir(*args)))
+            record = svc.admit(dict(spec(), token="fresh"))
+            monkeypatch.undo()
+            assert record["cached"] and record["state"] == "done"
+            assert listed == []
+        finally:
+            svc.stop()
 
 
 class TestDrainAndSpill:

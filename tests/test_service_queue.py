@@ -12,15 +12,19 @@ ever commits twice.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.service import queue as queue_module
 from repro.service.queue import (
     Claim,
     DurableQueue,
     FencedWrite,
-    TORN_GRACE_SECONDS,
+    token_job_id,
 )
 
 JOB = {"workload": "exchange2", "policy": "age", "config": "medium",
@@ -272,34 +276,54 @@ class TestIdempotencyTokens:
         fe1 = make_queue(tmp_path, clock, "fe1")
         fe2 = make_queue(tmp_path, clock, "fe2")
         entry = fe1.append(dict(JOB), token="tok-1")
-        assert fe1.find_token("tok-1") == entry.id
-        assert fe2.find_token("tok-1") == entry.id  # via segment scan
-        assert fe2.find_token("tok-unknown") is None
+        assert entry.id == token_job_id("tok-1")
+        assert fe2.admitted(entry.id)  # one stat of jobs/<id>.json
+        assert fe2.lookup(entry.id)["state"] == "queued"
+        assert not fe2.admitted(token_job_id("tok-unknown"))
+
+    def test_one_token_admits_one_job_on_two_frontends(self, tmp_path, clock):
+        fe1 = make_queue(tmp_path, clock, "fe1")
+        fe2 = make_queue(tmp_path, clock, "fe2")
+        first = fe1.append(dict(JOB), token="T")
+        second = fe2.append(dict(JOB), token="T")
+        assert second.id == first.id
+        assert os.listdir(fe1.jobs_dir) == [f"{first.id}.json"]
+        assert fe1.pending_count() == fe2.pending_count() == 1
+        assert fe2.counters.get("appended") == 0
+        assert fe2.counters.get("duplicate_commits") == 0
+        # Racing posts of one new token on four handles: one job.
+        handles = [make_queue(tmp_path, clock, f"fe{i}") for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                ids = list(pool.map(
+                    lambda i: handles[i % 4].append(dict(JOB), token="U").id,
+                    range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(ids) == {token_job_id("U")}
+        assert sum(h.counters.get("appended") for h in handles) == 1
+        assert len(os.listdir(fe1.jobs_dir)) == 2
+
+    def test_any_token_makes_a_filename(self, tmp_path, clock):
+        fe = make_queue(tmp_path, clock, "fe")
+        entry = fe.append(dict(JOB), token="../../etc/passwd \n\u00e9")
+        assert entry.id.startswith("t") and len(entry.id) == 33
+        assert (fe.jobs_dir / f"{entry.id}.json").exists()
+
+    def test_tokened_cache_hit_settles_once(self, tmp_path, clock):
+        fe1 = make_queue(tmp_path, clock, "fe1")
+        fe2 = make_queue(tmp_path, clock, "fe2")
+        job_id = fe1.settle_unclaimed(dict(JOB), {"ok": 1}, cached=True,
+                                      token="T")
+        assert fe2.settle_unclaimed(dict(JOB), {"ok": 2}, cached=True,
+                                    token="T") == job_id
+        assert fe2.read_result(job_id)["result"] == {"ok": 1}
+        assert fe2.counters.get("duplicate_commits") == 0
 
 
 class TestTornRecovery:
-    def test_torn_segment_tail_counted_and_warned_once(self, tmp_path, clock):
-        fe = make_queue(tmp_path, clock, "fe")
-        good = fe.append(dict(JOB))
-        # A crash mid-append: trailing bytes with no newline.
-        seg = fe.segments_dir / "seg-fe.jsonl"
-        with open(seg, "a") as handle:
-            handle.write('{"op": "job", "id": "torn-j')
-        reader = make_queue(tmp_path, clock, "w1")
-        reader.scan()
-        clock.advance(TORN_GRACE_SECONDS + 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reader.scan()
-            reader.scan()  # second scan must not warn again
-        torn_warnings = [w for w in caught
-                         if "torn record" in str(w.message)]
-        assert len(torn_warnings) == 1
-        assert reader.counters.snapshot()["torn_segments"] == 1
-        # The good record before the tear is intact and claimable.
-        got = reader.claim_next()
-        assert got is not None and got[0].id == good.id
-
     def test_torn_claim_body_still_fences_by_filename(self, tmp_path, clock):
         fe = make_queue(tmp_path, clock, "fe")
         entry = fe.append(dict(JOB))
@@ -321,18 +345,22 @@ class TestTornRecovery:
         with pytest.raises(FencedWrite):
             w1.commit(claim1, {"stale": True})
 
-    def test_garbage_line_in_segment_skipped(self, tmp_path, clock):
+    def test_corrupt_intake_file_counted_once(self, tmp_path, clock):
         fe = make_queue(tmp_path, clock, "fe")
-        seg = fe.segments_dir / "seg-other.jsonl"
-        seg.write_text('not json at all\n'
-                       + json.dumps({"op": "job", "id": "jx",
-                                     "job": dict(JOB)}) + "\n")
+        (fe.jobs_dir / "jbad.json").write_text("not json at all\n")
+        (fe.jobs_dir / "jx.json").write_text(
+            json.dumps({"op": "job", "id": "jx", "job": dict(JOB)}) + "\n")
         reader = make_queue(tmp_path, clock, "w1")
+        reader.scan()
         reader.scan()
         assert reader.counters.snapshot()["torn_records"] == 1
         assert reader.lookup("jx") is not None
+        got = reader.claim_next()
+        assert got is not None and got[0].id == "jx"
 
-    def test_compaction_drops_settled_and_readers_rescan(self, tmp_path, clock):
+
+class TestIntakeFiles:
+    def test_sweep_deletes_settled_intake_files(self, tmp_path, clock):
         fe = make_queue(tmp_path, clock, "fe")
         done = fe.append(dict(JOB))
         keep = fe.append(dict(JOB))
@@ -340,13 +368,88 @@ class TestTornRecovery:
         entry, claim = worker.claim_next()
         assert entry.id == done.id
         worker.commit(claim, {"ok": 1})
-        assert fe.compact_segment() == 1
-        # The reader survives the inode swap and still sees the
-        # pending job (and the settled one via its result envelope).
-        worker.scan()
-        got = worker.claim_next()
-        assert got is not None and got[0].id == keep.id
-        assert worker.lookup(done.id)["state"] == "done"
+        worker.sweep()
+        assert os.listdir(fe.jobs_dir) == [f"{keep.id}.json"]
+        # Every handle still sees the settled job, through its envelope,
+        # and the pending one.
+        for handle in (fe, worker):
+            assert handle.lookup(done.id)["state"] == "done"
+            assert handle.lookup(done.id)["job"] == JOB
+            assert handle.pending_count() == 1
+        assert worker.claim_next()[0].id == keep.id
+
+    def test_segment_of_an_earlier_build_is_imported_once(
+        self, tmp_path, clock
+    ):
+        settled = make_queue(tmp_path, clock, "old")
+        settled.settle_unclaimed(dict(JOB), {"ok": 1}, job_id="jdone-000001")
+        segments = tmp_path / "segments"
+        segments.mkdir()
+        records = [
+            {"op": "job", "schema": 1, "id": job_id, "job": dict(JOB),
+             "priority": 0, "tenant": "default", "token": None,
+             "key": None, "submitted_at": 1000.0}
+            for job_id in ("jdone-000001", "jopen-000001")
+        ]
+        (segments / "seg-old.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+            + '{"op": "job", "id": "torn-j')
+        readers = [make_queue(tmp_path, clock, f"r{i}") for i in range(2)]
+        for reader in readers:
+            assert reader.pending_count() == 1
+        assert not segments.exists()
+        assert os.listdir(readers[0].jobs_dir) == ["jopen-000001.json"]
+        assert readers[0].counters.get("torn_records") == 1
+        assert readers[1].claim_next()[0].id == "jopen-000001"
+
+
+class TestFsyncRule:
+    def test_acknowledging_names_fsync_their_directory(
+        self, tmp_path, clock, monkeypatch
+    ):
+        fe = make_queue(tmp_path, clock, "fe", fsync=True)
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        inode = {name: os.stat(getattr(fe, f"{name}_dir")).st_ino
+                 for name in ("jobs", "claims", "results")}
+        entry = fe.append(dict(JOB))
+        assert inode["jobs"] in synced
+        synced.clear()
+        _, claim = fe.claim_next()
+        assert synced and inode["claims"] not in synced  # claim body only
+        synced.clear()
+        assert fe.commit(claim, {"ok": 1}) == "committed"
+        assert inode["results"] in synced
+        synced.clear()
+        fe.settle_unclaimed(dict(JOB), {"ok": 2}, cached=True, token="hit")
+        assert synced == []
+        assert fe.lookup(entry.id)["state"] == "done"
+
+
+class TestFrontendMemory:
+    def test_frontend_forgets_envelopes_another_node_collected(
+        self, tmp_path, clock, monkeypatch
+    ):
+        frontend = make_queue(tmp_path, clock, "fe")
+        node = make_queue(tmp_path, clock, "w1")
+        for index in range(5):
+            frontend.append(dict(JOB))
+            _, claim = node.claim_next()
+            node.commit(claim, {"ok": index})
+        frontend.settle_unclaimed(dict(JOB), {"ok": "hit"}, cached=True)
+        before = frontend.metrics()["outcomes"]
+        assert len(frontend._result_meta) == 6
+        monkeypatch.setattr(queue_module, "RESULT_GC_SECONDS", 0.0)
+        assert node.sweep()["results_removed"] == 6
+        assert frontend.metrics()["outcomes"] == before
+        assert frontend._result_meta == {}
+        assert frontend.metrics()["outcomes"] == before  # counted once
 
 
 class TestFleetView:

@@ -2,15 +2,16 @@
 
 A settled job needs only the fencing epoch in its claim's filename, so
 scans skip its claim body; its envelope is immutable, so a status
-lookup is answered from memory; and an idempotency-token lookup reads
-no claims.  What a scan lists stays bounded too: a writer compacts its
-segment as jobs settle, and the sweep deletes old envelopes.
+lookup is answered from memory; and an idempotency-token lookup is two
+``stat``s of the token's id.  What a scan lists stays bounded too: the
+sweep deletes settled jobs' intake files, and then old envelopes.
 """
 
 from __future__ import annotations
 
-from repro.service import queue as queue_module
-from repro.service.queue import RESULT_GC_SECONDS, DurableQueue
+import os
+
+from repro.service.queue import RESULT_GC_SECONDS, DurableQueue, token_job_id
 
 JOB = {"workload": "exchange2", "policy": "age", "config": "medium",
        "num_instructions": 2500}
@@ -64,14 +65,18 @@ class TestSettledJobsCostNothing:
             record = reader.lookup(job_id)
             assert record["state"] == "done"
             assert record["submitted_at"] is not None
-        assert reader.find_token("tok-3") == ids[3]
-        assert reader.find_token("tok-unknown") is None
-        assert scans == []
+        assert ids[3] == token_job_id("tok-3")
+        listed = []
+        scandir = os.scandir
+        monkeypatch.setattr(os, "scandir",
+                            lambda path: listed.append(path) or scandir(path))
+        assert reader.admitted(ids[3])
+        assert not reader.admitted(token_job_id("tok-unknown"))
+        assert scans == [] and listed == []
 
 
 class TestSettledJobsAreCollected:
-    def test_segment_and_results_stay_bounded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(queue_module, "COMPACT_INTERVAL", 10)
+    def test_intake_and_results_stay_bounded(self, tmp_path):
         clock = [1000.0]
         queue = DurableQueue(tmp_path, node_id="local", fsync=False,
                              clock=lambda: clock[0])
@@ -79,10 +84,12 @@ class TestSettledJobsAreCollected:
             queue.append(dict(JOB), token=f"tok-{index}")
             _, claim = queue.claim_next()
             assert queue.commit(claim, {"ok": index}) == "committed"
-            assert len(queue._segment_path.read_text().splitlines()) <= 10
+            if index % 10 == 9:
+                queue.sweep()
+                assert os.listdir(queue.jobs_dir) == []
+            assert len(os.listdir(queue.jobs_dir)) <= 10
         hit = queue.settle_unclaimed(dict(JOB), {"ok": "hit"}, cached=True,
                                      token="tok-hit")
-        assert queue.counters.get("compactions") >= 4
         young = queue.sweep()
         assert young["results_removed"] == 0
         assert queue.lookup(hit)["state"] == "done"
@@ -91,7 +98,7 @@ class TestSettledJobsAreCollected:
         assert queue.sweep()["results_removed"] > 40
         assert len(list(queue.results_dir.iterdir())) < 10
         assert queue.lookup(hit) is None
-        assert queue.find_token("tok-hit") is None
+        assert not queue.admitted(token_job_id("tok-hit"))
         outcomes = queue.metrics()["outcomes"]
         assert outcomes["done"] == 51 and outcomes["cached"] == 1
 
