@@ -481,7 +481,7 @@ def main(argv=None) -> int:
                 queue_dir=args.queue_dir,
                 lease_seconds=args.lease,
             )
-        except RuntimeError as exc:  # the private queue is in use
+        except RuntimeError as exc:  # queue in use, or an earlier format
             print(f"repro serve: {exc}", file=sys.stderr)
             return 1
         host, port = service.address
@@ -513,16 +513,20 @@ def main(argv=None) -> int:
         from repro.service.node import WorkerNode
 
         cache_dir = None if args.cache_dir == "none" else args.cache_dir
-        node = WorkerNode(
-            args.queue_dir,
-            cache_dir=cache_dir,
-            workers=args.workers,
-            node_id=args.node_id,
-            lease_seconds=args.lease,
-            max_job_crashes=args.max_job_crashes,
-            job_timeout=args.timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-        )
+        try:
+            node = WorkerNode(
+                args.queue_dir,
+                cache_dir=cache_dir,
+                workers=args.workers,
+                node_id=args.node_id,
+                lease_seconds=args.lease,
+                max_job_crashes=args.max_job_crashes,
+                job_timeout=args.timeout,
+                heartbeat_timeout=args.heartbeat_timeout,
+            )
+        except RuntimeError as exc:  # a queue of an earlier format
+            print(f"repro work: {exc}", file=sys.stderr)
+            return 1
         node.start()
         print(f"repro work: node {node.node_id} pulling from "
               f"{args.queue_dir} ({args.workers} workers, "

@@ -143,32 +143,16 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def load_records(path: Union[str, Path]) -> Tuple[List[dict], int]:
-    """Every parsable JSON-object record in ``path`` plus a torn count.
-
-    A line that fails to parse — or parses to something other than an
-    object — is counted, never fatal: a crash mid-append must cost at
-    most the record being written, not the file.
-    """
-    records: List[dict] = []
-    torn = 0
-    path = Path(path)
-    if not path.exists():
-        return records, torn
-    with open(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-            except (ValueError, TypeError):
-                torn += 1
-                continue
-            records.append(record)
-    return records, torn
+def refuse_legacy(path: Path) -> None:
+    """Refuse to start on ``path`` if it exists: a file or directory in
+    the format of an earlier build, which this build does not read.  Its
+    jobs would otherwise vanish unnoticed."""
+    if path.exists():
+        raise RuntimeError(
+            f"{path} holds jobs in an earlier build's format, which this "
+            f"build does not read; drain it once with a build at or before "
+            f"commit 2f75f93 (version 1.1.0)"
+        )
 
 
 def failure_result(job, error_type: str, message: str,
@@ -279,6 +263,7 @@ class DurableQueue:
         if max_job_crashes < 0:
             raise ValueError("max_job_crashes must be >= 0")
         self.root = Path(root)
+        refuse_legacy(self.root / "segments")
         self.node_id = node_id or f"node-{uuid.uuid4().hex[:8]}"
         self.lease_seconds = lease_seconds
         self.max_job_crashes = max_job_crashes
@@ -320,7 +305,6 @@ class DurableQueue:
         self._result_keys: Dict[str, str] = {}    # content key -> settled id
         self._claims: Dict[str, dict] = {}        # id -> highest-epoch info
         self._torn_claim_files: set = set()
-        self._upgraded = False      # segments of an earlier build imported
         self._pruned = dict.fromkeys(("done", "failed", "quarantined",
                                       "cached", "deduped"), 0)
         self._owner_lock: Optional[int] = None    # fd, see take_over
@@ -343,7 +327,6 @@ class DurableQueue:
         tenant: str = "default",
         token: Optional[str] = None,
         key: Optional[str] = None,
-        job_id: Optional[str] = None,
     ) -> QueueJob:
         """Durably enqueue one job; returns its intake record.
 
@@ -355,7 +338,7 @@ class DurableQueue:
         """
         with self._lock:
             entry = QueueJob(
-                id=job_id or self._new_id(token),
+                id=self._new_id(token),
                 job=job,
                 priority=int(priority),
                 tenant=tenant,
@@ -388,9 +371,6 @@ class DurableQueue:
         that order: a job settles before its intake file is collected,
         so one whose file vanished mid-scan is among the results."""
         with self._lock:
-            if not self._upgraded:
-                self._upgraded = True
-                self._import_segments()
             self._scan_intake()
             self._scan_results()
             self._scan_claims()
@@ -426,35 +406,6 @@ class DurableQueue:
         self._jobs[job_id] = entry
         return entry
 
-    def _import_segments(self) -> None:
-        """One-time upgrade: publish each unsettled job of an earlier
-        build's intake segments (``segments/seg-*.jsonl``) as its intake
-        file under its id, then delete the segment.  The publish is
-        exclusive, so concurrent importers and an import cut short by a
-        crash are harmless."""
-        segments = self.root / "segments"
-        for path in sorted(segments.glob("seg-*.jsonl")):
-            records, torn = load_records(path)
-            for record in records:
-                try:
-                    if record.get("op") != "job":
-                        raise ValueError("not a job record")
-                    entry = QueueJob.from_record(str(record["id"]), record)
-                except (ValueError, KeyError, TypeError):
-                    torn += 1
-                    continue
-                if not self._result_path(entry.id).exists():
-                    self._publish_exclusive(self._intake_record(entry),
-                                            self._intake_path(entry.id))
-            self.counters.inc("torn_records", torn)
-            if self.fsync:
-                _fsync_dir(self.jobs_dir)
-            path.unlink(missing_ok=True)
-        try:
-            segments.rmdir()
-        except OSError:
-            pass
-
     def _scan_results(self) -> None:
         try:
             listed = {
@@ -468,9 +419,12 @@ class DurableQueue:
             self._forget(job_id)  # collected by another handle's sweep
         for job_id in listed - self._result_meta.keys():
             envelope = self.read_result(job_id)
-            if envelope is not None:
-                envelope.pop("result", None)
-                self._remember_settled(job_id, envelope)
+            if envelope is None:
+                continue  # collected since it was listed
+            envelope.pop("result", None)
+            if envelope.get("corrupt"):
+                self.counters.inc("torn_records")
+            self._remember_settled(job_id, envelope)
 
     def _remember_settled(self, job_id: str, meta: dict) -> None:
         self._result_meta[job_id] = meta
@@ -798,17 +752,15 @@ class DurableQueue:
         self,
         job: dict,
         result: dict,
-        state: str = "done",
         priority: int = 0,
         tenant: str = "default",
         token: Optional[str] = None,
         key: Optional[str] = None,
         cached: bool = False,
-        job_id: Optional[str] = None,
     ) -> str:
-        """Settle a job that needs no worker — a cache hit, or an imported
-        quarantine — with one envelope carrying its intake fields and no
-        intake file (nothing can claim it, so no fence is needed).
+        """Settle a cache hit, which needs no worker, with one envelope
+        carrying its intake fields and no intake file (nothing can claim
+        it, so no fence is needed).
         Returns the job id: the token's (:func:`token_job_id`) when
         ``token`` is given, and if that job already settled this writes
         nothing.  A cache hit's envelope is not fsync'd: its result is a
@@ -816,9 +768,9 @@ class DurableQueue:
         costs at most a resubmission, while an fsync would be most of a
         cache hit's latency."""
         with self._lock:
-            job_id = job_id or self._new_id(token)
+            job_id = self._new_id(token)
             self._publish_result(
-                job_id, result, state=state, node=self.node_id, epoch=0,
+                job_id, result, state="done", node=self.node_id, epoch=0,
                 intake={"job": job, "priority": int(priority),
                         "tenant": tenant, "token": token, "key": key,
                         "submitted_at": self._clock()},
@@ -834,7 +786,7 @@ class DurableQueue:
 
     @classmethod
     def _intake_record(cls, entry: QueueJob) -> dict:
-        return {"op": "job", "schema": QUEUE_SCHEMA_VERSION, "id": entry.id,
+        return {"schema": QUEUE_SCHEMA_VERSION, "id": entry.id,
                 **cls._intake(entry)}
 
     def _publish_result(
@@ -898,8 +850,10 @@ class DurableQueue:
         """The committed result envelope for ``job_id``, or None.
 
         Envelopes are published with complete content (link-after-write),
-        so a parse failure means external corruption; it reads as
-        not-committed rather than raising.
+        so a parse failure means outside corruption: the job settled, but
+        its outcome is lost.  Such an envelope reads as a ``failed`` one
+        flagged ``corrupt``, with a ``CorruptEnvelope`` result, so the
+        job stays settled and is never claimed again.
         """
         path = self._result_path(job_id)
         try:
@@ -908,12 +862,21 @@ class DurableQueue:
             return None
         try:
             envelope = json.loads(raw)
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not an object")
-            return envelope
+            if isinstance(envelope, dict):
+                return envelope
         except (ValueError, TypeError):
-            self.counters.inc("torn_records")
-            return None
+            pass
+        entry = self._jobs.get(job_id)
+        return {
+            "job_id": job_id,
+            "state": "failed",
+            "corrupt": True,
+            "committed_at": self._clock(),
+            "result": failure_result(
+                entry.job if entry is not None else None, "CorruptEnvelope",
+                f"result envelope {path.name} is unreadable (corrupted "
+                f"outside the queue); the job's outcome is lost"),
+        }
 
     def lookup(self, job_id: str) -> Optional[dict]:
         """The status record for ``job_id`` (what ``/status`` serves), or

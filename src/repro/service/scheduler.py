@@ -120,8 +120,8 @@ def job_to_dict(job: SweepJob, priority: int = 0, tenant: str = "default") -> di
 def job_from_dict(data: dict) -> SweepJob:
     """Rebuild a :class:`SweepJob` from :func:`job_to_dict` output.
 
-    Raises ``ValueError``/``KeyError`` for malformed payloads — the
-    HTTP layer maps these to 400, the legacy-file import skips them.
+    Raises ``ValueError``/``KeyError`` for malformed payloads; the
+    HTTP layer maps these to 400.
     """
     if not isinstance(data, dict):
         raise ValueError("job payload must be a JSON object")

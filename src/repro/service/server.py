@@ -30,13 +30,11 @@ is bounded by the worker pool, and request handling is I/O.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 import threading
 import time
 import uuid
-import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -48,8 +46,7 @@ from repro.service.node import WorkerNode, queue_key_for
 from repro.service.queue import (
     DEFAULT_LEASE_SECONDS,
     DurableQueue,
-    failure_result,
-    load_records,
+    refuse_legacy,
     token_job_id,
 )
 from repro.service.scheduler import (
@@ -238,12 +235,15 @@ class ReproService:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         fsync: bool = True,
     ) -> None:
+        if cache_dir is not None:
+            for name in ("jobs.wal", "pending-jobs.jsonl"):
+                refuse_legacy(Path(cache_dir) / name)
         self.counters = CounterSet()
         # Job counters, shared with the local node when there is one.
         self.jobs = CounterSet(
             submitted=0, cache_hits=0, token_dedup=0, rejected_backlog=0,
             rejected_closed=0, rate_limited=0, shed=0, cache_errors=0,
-            cache_bypass=0, legacy_skipped=0,
+            cache_bypass=0,
         )
         self.cache = (
             ResultCache(cache_dir, max_bytes=cache_max_bytes)
@@ -284,8 +284,6 @@ class ReproService:
         if local:
             self.recovered = self.queue.take_over()
             try:
-                if cache_dir is not None:
-                    self.recovered += self._import_legacy(Path(cache_dir))
                 self.node = WorkerNode(
                     self.queue, cache_dir=self.cache, workers=workers,
                     job_timeout=timeout, heartbeat_timeout=heartbeat_timeout,
@@ -332,68 +330,6 @@ class ReproService:
             except OSError:  # pragma: no cover - disk hiccup; retry next beat
                 pass
             self._hb_stop.wait(interval)
-
-    def _import_legacy(self, cache_dir: Path) -> int:
-        """One-time upgrade from the pre-queue single-node format: append
-        a ``jobs.wal`` journal's pending accepts and a
-        ``pending-jobs.jsonl`` spill's lines to the private queue, settle
-        the journal's quarantined accepts, and rename each file
-        ``*.imported``.  Journal ids are kept and known ids skipped, so
-        an import cut short by a crash resumes.  Returns how many
-        runnable jobs were appended."""
-        pending, quarantined, skipped = {}, {}, 0
-        wal = cache_dir / "jobs.wal"
-        records, torn = load_records(wal)
-        for record in records:
-            op, job_id = record.get("op"), record.get("id")
-            if op == "accept" and isinstance(record.get("job"), dict):
-                pending[job_id] = record
-            elif op == "quarantine" and job_id in pending:
-                quarantined[job_id] = dict(pending.pop(job_id),
-                                           reason=record.get("reason") or "")
-            elif op == "done":
-                pending.pop(job_id, None)
-            else:
-                torn += 1
-        spill = cache_dir / "pending-jobs.jsonl"
-        spilled, spill_torn = load_records(spill)
-        for index, record in enumerate(spilled):
-            pending[f"spill-{index:06d}"] = {"job": record, **record}
-        if torn:
-            warnings.warn(
-                f"journal {wal} had {torn} torn/corrupt record(s) (hard "
-                f"crash mid-append?); they were skipped",
-                RuntimeWarning, stacklevel=3,
-            )
-        imported = 0
-        for job_id, record in {**pending, **quarantined}.items():
-            if self.queue.lookup(job_id) is not None:
-                continue
-            try:
-                job = job_from_dict(record["job"])
-                priority = int(record.get("priority") or 0)
-                tenant = str(record.get("tenant") or "default")
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-                continue
-            job_dict = job_to_dict(job, priority, tenant)
-            if job_id in quarantined:
-                poison = failure_result(
-                    job_dict, "PoisonJob",
-                    f"quarantined before the upgrade ({record['reason']})")
-                self.queue.settle_unclaimed(
-                    job_dict, poison, state="quarantined",
-                    priority=priority, tenant=tenant, job_id=job_id,
-                )
-                continue
-            self.queue.append(job_dict, priority=priority, tenant=tenant,
-                              key=queue_key_for(job), job_id=job_id)
-            imported += 1
-        for path in (wal, spill):
-            if path.exists():
-                os.replace(path, path.with_name(path.name + ".imported"))
-        self.jobs.inc("legacy_skipped", skipped + spill_torn)
-        return imported
 
     # -- lifecycle -------------------------------------------------------------------
 

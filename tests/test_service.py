@@ -349,29 +349,6 @@ class TestDrainAndSpill:
         finally:
             restarted.stop()
 
-    def test_corrupt_spill_lines_are_skipped(self, tmp_path):
-        # A drain spill written by the pre-queue service is imported once.
-        spill = tmp_path / "pending-jobs.jsonl"
-        spill.write_text(
-            json.dumps(job_to_dict(job())) + "\n"
-            + '{"workload": "exchange2", "pol\n'        # torn line
-            + json.dumps({"workload": "gcc", "policy": "age"}) + "\n"
-        )
-        svc = ReproService(cache_dir=tmp_path, workers=1).start()
-        try:
-            client = ServiceClient(svc.url)
-            assert client.healthz()["recovered_jobs"] == 1
-            metrics = client.metricsz()["scheduler"]
-            assert metrics["legacy_skipped"] == 2   # torn + unknown workload
-            assert not spill.exists()     # consumed
-            assert (tmp_path / "pending-jobs.jsonl.imported").exists()
-            deadline = time.monotonic() + 120
-            while client.metricsz()["scheduler"]["completed"] < 1:
-                assert time.monotonic() < deadline, "spilled job never ran"
-                time.sleep(0.05)
-        finally:
-            svc.stop()
-
 
 @pytest.fixture
 def service(tmp_path):

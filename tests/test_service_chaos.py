@@ -1,11 +1,10 @@
 """Chaos tests for the service layer.
 
 Every test here injects a real fault — SIGKILLed workers and servers,
-SIGSTOPped (hung) workers, torn journals of the pre-queue service,
-failing cache backends — and asserts the service's contract under it:
-an accepted job is either completed with a valid result or reported as
-quarantined; it is never silently lost, and the cache is never
-corrupted.  Everything goes through :class:`ReproService` and its HTTP
+SIGSTOPped (hung) workers, failing cache backends — and asserts the
+service's contract under it: an accepted job is either completed with a
+valid result or reported as quarantined; it is never silently lost, and
+the cache is never corrupted.  Everything goes through :class:`ReproService` and its HTTP
 API.
 
 The process-pool runners below are plain module functions: the pool
@@ -16,7 +15,6 @@ with every respawned worker.
 """
 
 import itertools
-import json
 import multiprocessing
 import os
 import re
@@ -25,13 +23,13 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from conftest import GateRunner
+from conftest import CountingRunner
 from repro.config import get_config
 from repro.service import (
     CircuitBreaker,
@@ -87,6 +85,13 @@ def hang_once_runner(sentinel, sweep_job, _trace_cache=None):
 def slow_runner(sweep_job, _trace_cache=None):
     time.sleep(60.0)
     return _run_job(sweep_job, _trace_cache)  # pragma: no cover
+
+
+class CrashRunner(CountingRunner):
+    """Counts each execution, then SIGKILLs its worker."""
+
+    def before_run(self) -> None:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def spec(policy="age", **kwargs):
@@ -194,184 +199,27 @@ class TestWorkerCrashRecovery:
             fresh.stop()
 
 
-def write_journal(path, records):
-    """A journal in the pre-queue single-node service's format."""
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-
-
-def accept(job_id, priority=0, policy="age"):
-    return {
-        "op": "accept",
-        "id": job_id,
-        "job": {
-            "workload": "exchange2",
-            "policy": policy,
-            "config": "medium",
-            "num_instructions": N,
-            "seed": None,
-            "max_cycles": None,
-            "warmup_instructions": None,
-        },
-        "priority": priority,
-        "tenant": "default",
-    }
-
-
-class TestJournalRecovery:
-    """Upgrade path: a ``jobs.wal`` left by the pre-queue service is
-    imported into the private queue once, then renamed ``*.imported``."""
-
-    def test_torn_trailing_record_recovers_with_warning(self, tmp_path):
-        wal = tmp_path / "jobs.wal"
-        write_journal(wal, [accept("j1"), accept("j2", policy="shift")])
-        # A hard crash mid-append: truncate inside the last line.
-        raw = wal.read_bytes()
-        wal.write_bytes(raw[: len(raw) - 17])
-        with pytest.warns(RuntimeWarning, match="torn/corrupt"):
-            svc, client = serving(cache_dir=tmp_path)
-        try:
-            assert client.healthz()["recovered_jobs"] == 1
-            assert wait_terminal(client, "j1")[1].ok
-            with pytest.raises(ServiceError):
-                client.status("j2")
-        finally:
-            svc.stop()
-        assert not wal.exists() and (tmp_path / "jobs.wal.imported").exists()
-        # Imported once: the next start has nothing to replay or warn.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            svc, client = serving(cache_dir=tmp_path)
-        try:
-            assert client.healthz()["recovered_jobs"] == 0
-        finally:
-            svc.stop()
-
-    def test_hard_crash_recovery_reruns_every_accepted_job(self, tmp_path):
-        write_journal(tmp_path / "jobs.wal", [
-            accept("j1", priority=1), {"op": "done", "id": "j1"},
-            accept("j2", priority=2), accept("j3", priority=3),
-        ])
-        svc, client = serving(cache_dir=tmp_path, workers=2)
-        try:
-            assert client.healthz()["recovered_jobs"] == 2
-            for job_id in ("j2", "j3"):
-                record, result = wait_terminal(client, job_id, timeout=120.0)
-                assert record["state"] == "done" and result.ok
-            with pytest.raises(ServiceError):
-                client.status("j1")            # finished before the crash
-        finally:
-            svc.stop()
-
-    def test_accept_written_with_the_old_fast_flag_recovers_and_runs(
-        self, tmp_path
-    ):
-        # Earlier builds wrote the removed engine switch into every job
-        # dict (``"fast": false``); such a journal must still import.
-        (tmp_path / "jobs.wal").write_text(
-            '{"op": "accept", "id": "jold-000001", "job": {"workload": '
-            '"exchange2", "policy": "age", "config": "medium", '
-            '"num_instructions": 2500, "seed": null, "max_cycles": null, '
-            '"warmup_instructions": null, "fast": false, "priority": 0, '
-            '"tenant": "default"}, "priority": 0, "tenant": "default"}\n'
-        )
-        svc, client = serving(cache_dir=tmp_path)
-        try:
-            assert client.healthz()["recovered_jobs"] == 1
-            record, result = wait_terminal(client, "jold-000001", 120.0)
-            assert record["state"] == "done" and result.ok
-            assert client.metricsz()["scheduler"]["completed"] == 1
-        finally:
-            svc.stop()
-
-    def test_quarantine_tombstone_is_not_resurrected(self, tmp_path):
-        write_journal(tmp_path / "jobs.wal", [
-            accept("j1"),
-            {"op": "quarantine", "id": "j1", "reason": "WorkerCrashed: x"},
-        ])
-        runner = GateRunner(tmp_path / "gate")
-        svc, client = serving(cache_dir=tmp_path, job_runner=runner)
-        try:
-            assert client.healthz()["recovered_jobs"] == 0
-            record, result = wait_terminal(client, "j1")
-            assert record["state"] == "quarantined"
-            assert result.error_type == "PoisonJob"
-        finally:
-            svc.stop()
-        assert runner.calls == []          # never run again
-
-    def test_recovery_survives_legacy_id_collision(self, tmp_path):
-        """Journal ids of the dead process (``j000001`` is what a naive
-        per-process counter regenerates first) are kept on import and
-        never collide with the queue's own ids; both imported jobs stay
-        durably queued while unfinished, and a second start imports
-        nothing twice."""
-        write_journal(tmp_path / "jobs.wal", [
-            accept("j000001"), accept("j000002", policy="shift"),
-        ])
-        runner = GateRunner(tmp_path / "gate")
-        svc, client = serving(cache_dir=tmp_path, job_runner=runner)
-        try:
-            assert client.healthz()["recovered_jobs"] == 2
-            assert runner.wait_entered()
-            fresh = client.submit(**spec(policy="swque"))
-            assert fresh["id"] not in ("j000001", "j000002")
-            # Both imported jobs are durable queue entries while
-            # unfinished: a crash right now would rerun them.
-            states = {client.status(j)["state"]
-                      for j in ("j000001", "j000002")}
-            assert states <= {"queued", "running"}
-            runner.release()
-            for job_id in ("j000001", "j000002", fresh["id"]):
-                assert wait_terminal(client, job_id, 120.0)[0]["state"] == (
-                    "done")
-        finally:
-            runner.release()
-            svc.stop()
-        svc, client = serving(cache_dir=tmp_path)
-        try:
-            assert client.healthz()["recovered_jobs"] == 0
-            assert client.metricsz()["scheduler"]["completed"] == 3
-        finally:
-            svc.stop()
-
-    def test_quarantine_history_survives_compaction_and_restart(self, tmp_path):
-        write_journal(tmp_path / "jobs.wal", [
-            accept("j1"),
-            {"op": "quarantine", "id": "j1", "reason": "WorkerCrashed: x"},
-        ])
-        for _ in range(2):  # the import, then a plain restart
-            svc, client = serving(cache_dir=tmp_path)
-            try:
-                record, result = wait_terminal(client, "j1")
-            finally:
-                svc.stop()
-            # The reason survives too: operators inspect poison jobs
-            # after a restart.
-            assert record["state"] == "quarantined"
-            assert "WorkerCrashed: x" in result.error_message
-
-    def test_compaction_bounds_journal_growth(self, tmp_path, monkeypatch):
-        # The private queue keeps the journal's bound while the server
-        # runs: the sweep deletes settled jobs' intake files, and then
-        # their old envelopes.
-        svc, client = serving(lease_seconds=1.0)  # sweeps every second
-        try:
-            for _ in range(50):
-                wait_terminal(client, client.submit(**spec())["id"])
-            queue = svc.queue
-            assert queue.pending_count() == 0
-            deadline = time.monotonic() + 30.0
-            while os.listdir(queue.jobs_dir):
-                assert time.monotonic() < deadline, "intake never swept"
-                time.sleep(0.05)
-            monkeypatch.setattr(queue_module, "RESULT_GC_SECONDS", 0.0)
-            while len(list(queue.results_dir.iterdir())) >= 10:
-                assert time.monotonic() < deadline, "results never swept"
-                time.sleep(0.05)
-            # Collected envelopes still count as settled work.
-            assert client.metricsz()["queue"]["outcomes"]["done"] == 50
-        finally:
-            svc.stop()
+def test_sweep_bounds_the_queue_directory(tmp_path, monkeypatch):
+    # The private queue stays bounded while the server runs: the sweep
+    # deletes settled jobs' intake files, and then their old envelopes.
+    svc, client = serving(lease_seconds=1.0)  # sweeps every second
+    try:
+        for _ in range(50):
+            wait_terminal(client, client.submit(**spec())["id"])
+        queue = svc.queue
+        assert queue.pending_count() == 0
+        deadline = time.monotonic() + 30.0
+        while os.listdir(queue.jobs_dir):
+            assert time.monotonic() < deadline, "intake never swept"
+            time.sleep(0.05)
+        monkeypatch.setattr(queue_module, "RESULT_GC_SECONDS", 0.0)
+        while len(list(queue.results_dir.iterdir())) >= 10:
+            assert time.monotonic() < deadline, "results never swept"
+            time.sleep(0.05)
+        # Collected envelopes still count as settled work.
+        assert client.metricsz()["queue"]["outcomes"]["done"] == 50
+    finally:
+        svc.stop()
 
 
 class TestRestartRecovery:
@@ -473,6 +321,61 @@ class TestRestartRecovery:
         finally:
             svc.stop()
         ReproService(cache_dir=tmp_path, workers=1).stop()
+
+    def test_quarantine_survives_restart_and_never_reruns(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        runner = CrashRunner(tmp_path / "runs")
+        svc, client = serving(cache_dir=cache_dir, job_runner=runner,
+                              max_job_crashes=0)
+        try:
+            poison = client.submit(**spec(policy="circ"))["id"]
+            before, result = wait_terminal(client, poison, timeout=90.0)
+        finally:
+            svc.stop(drain=False)
+        assert before["state"] == "quarantined"
+        assert result.error_type == "PoisonJob"
+        runner = CountingRunner(runner.root)  # same record of runs
+        svc, client = serving(cache_dir=cache_dir, job_runner=runner)
+        try:
+            after, again = wait_terminal(client, poison)
+            assert after["state"] == "quarantined"
+            assert again.error_message == result.error_message
+            fresh = client.submit(**spec(policy="age"))["id"]
+            assert fresh != poison
+            assert wait_terminal(client, fresh, timeout=90.0)[1].ok
+        finally:
+            svc.stop()
+        # One run: the crash before the restart.  Then only the fresh job.
+        assert [key.split("|")[1] for key in runner.calls] == ["circ", "age"]
+
+    def test_directory_of_an_earlier_format_is_refused(self, tmp_path):
+        """Formats no build writes any more are refused by name, never
+        silently ignored; ``*.imported`` leftovers are not refused."""
+        for name in ("jobs.wal", "pending-jobs.jsonl"):
+            cache_dir = tmp_path / name.replace(".", "-")
+            cache_dir.mkdir()
+            (cache_dir / name).write_text("{}\n")
+            with pytest.raises(RuntimeError, match=f"{name}.*2f75f93"):
+                ReproService(cache_dir=cache_dir, workers=1)
+        (tmp_path / "queue" / "segments").mkdir(parents=True)
+        with pytest.raises(RuntimeError, match="segments.*2f75f93"):
+            DurableQueue(tmp_path / "queue")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "jobs-wal")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "jobs.wal" in proc.stderr and "2f75f93" in proc.stderr
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        for name in ("jobs.wal.imported", "pending-jobs.jsonl.imported"):
+            (clean / name).write_text("{}\n")
+        ReproService(cache_dir=clean, workers=1).stop()
 
 
 class TestCircuitBreaker:

@@ -70,32 +70,6 @@ class TestIntakeAndClaim:
         assert record["state"] == "done"
         assert fe.read_result(entry.id)["result"] == {"ok": 1}
 
-    def test_job_record_with_the_old_fast_flag_claims_and_runs(
-        self, tmp_path, clock
-    ):
-        # A segment written by an earlier build carries the removed
-        # engine switch (``"fast": false``) in its job dict.
-        from repro.service.scheduler import job_from_dict
-        from repro.sim.harness import _run_job
-
-        segments = tmp_path / "segments"
-        segments.mkdir()
-        (segments / "seg-old.jsonl").write_text(
-            '{"op": "job", "schema": 1, "id": "jold-000001", "job": '
-            '{"workload": "exchange2", "policy": "age", "config": "medium", '
-            '"num_instructions": 2500, "seed": null, "max_cycles": null, '
-            '"warmup_instructions": null, "fast": false, "priority": 0, '
-            '"tenant": "default"}, "priority": 0, "tenant": "default", '
-            '"token": null, "key": null, "submitted_at": 1000.0}\n'
-        )
-        worker = make_queue(tmp_path, clock, "w1")
-        claimed, claim = worker.claim_next()
-        assert claimed.id == "jold-000001"
-        result = _run_job(job_from_dict(dict(claimed.job)))
-        assert result.stats.committed > 0
-        assert worker.commit(claim, {"ok": 1}) == "committed"
-        assert worker.lookup(claimed.id)["state"] == "done"
-
     def test_priority_order_then_fifo(self, tmp_path, clock):
         fe = make_queue(tmp_path, clock, "fe")
         low = fe.append(dict(JOB), priority=0)
@@ -349,7 +323,7 @@ class TestTornRecovery:
         fe = make_queue(tmp_path, clock, "fe")
         (fe.jobs_dir / "jbad.json").write_text("not json at all\n")
         (fe.jobs_dir / "jx.json").write_text(
-            json.dumps({"op": "job", "id": "jx", "job": dict(JOB)}) + "\n")
+            json.dumps({"id": "jx", "job": dict(JOB)}) + "\n")
         reader = make_queue(tmp_path, clock, "w1")
         reader.scan()
         reader.scan()
@@ -357,6 +331,28 @@ class TestTornRecovery:
         assert reader.lookup("jx") is not None
         got = reader.claim_next()
         assert got is not None and got[0].id == "jx"
+
+
+    def test_corrupt_envelope_settles_once_as_failed(self, tmp_path, clock):
+        fe = make_queue(tmp_path, clock, "fe")
+        entry = fe.append(dict(JOB))
+        w1 = make_queue(tmp_path, clock, "w1")
+        _, claim = w1.claim_next()
+        assert w1.commit(claim, {"ok": 1}) == "committed"
+        # Outside corruption of the committed envelope: the outcome is
+        # lost, but the job did settle and must never run again.
+        (w1.results_dir / f"{entry.id}.json").write_bytes(b'{"job_id": "')
+        w2 = make_queue(tmp_path, clock, "w2")
+        for _ in range(3):
+            clock.advance(11.0)  # past another lease window
+            assert w2.claim_next() is None
+        assert w2.counters.get("torn_records") == 1
+        assert w2.counters.get("duplicate_commits") == 0
+        assert w2.lookup(entry.id)["state"] == "failed"
+        assert w2.metrics()["outcomes"]["failed"] == 1
+        result = w2.read_result(entry.id)["result"]
+        assert result["error_type"] == "CorruptEnvelope"
+        assert result["workload"] == JOB["workload"]
 
 
 class TestIntakeFiles:
@@ -377,31 +373,6 @@ class TestIntakeFiles:
             assert handle.lookup(done.id)["job"] == JOB
             assert handle.pending_count() == 1
         assert worker.claim_next()[0].id == keep.id
-
-    def test_segment_of_an_earlier_build_is_imported_once(
-        self, tmp_path, clock
-    ):
-        settled = make_queue(tmp_path, clock, "old")
-        settled.settle_unclaimed(dict(JOB), {"ok": 1}, job_id="jdone-000001")
-        segments = tmp_path / "segments"
-        segments.mkdir()
-        records = [
-            {"op": "job", "schema": 1, "id": job_id, "job": dict(JOB),
-             "priority": 0, "tenant": "default", "token": None,
-             "key": None, "submitted_at": 1000.0}
-            for job_id in ("jdone-000001", "jopen-000001")
-        ]
-        (segments / "seg-old.jsonl").write_text(
-            "".join(json.dumps(record) + "\n" for record in records)
-            + '{"op": "job", "id": "torn-j')
-        readers = [make_queue(tmp_path, clock, f"r{i}") for i in range(2)]
-        for reader in readers:
-            assert reader.pending_count() == 1
-        assert not segments.exists()
-        assert os.listdir(readers[0].jobs_dir) == ["jopen-000001.json"]
-        assert readers[0].counters.get("torn_records") == 1
-        assert readers[1].claim_next()[0].id == "jopen-000001"
-
 
 class TestFsyncRule:
     def test_acknowledging_names_fsync_their_directory(
