@@ -2,12 +2,12 @@
 """A sweep that survives crashing, hanging, and diverging cells.
 
 Runs a small workload x policy grid through the fault-tolerant harness
-with three chaos cells injected: one that crashes its worker and one
-that hangs past the wall-clock timeout (each a lost worker, re-run once
-after a backoff: the one failure a re-run can cure), and one that
-diverges under an impossibly tight cycle budget (deterministic, so it
-fails after one attempt: a re-run would diverge at the same cycle).  The
-sweep still completes: every healthy cell returns its
+with three chaos cells injected: one that crashes its worker (a lost
+worker, re-run once after a backoff: the one failure a re-run can
+cure), one that hangs past the wall-clock timeout, and one that diverges
+under an impossibly tight cycle budget.  The last two are deterministic,
+so each fails after one attempt: a re-run would hang, or diverge at the
+same cycle, again.  The sweep still completes: every healthy cell returns its
 result, every broken cell is reported as a FailedResult with its
 traceback and partial progress.  Every healthy cell lands in a result
 cache as it finishes, so a second sweep of the healthy grid restores it
@@ -42,7 +42,8 @@ def main() -> None:
         # A worker that dies mid-simulation (hard, like a segfault).
         SweepJob("x264", "age", MEDIUM, instructions,
                  fault=FaultSpec("crash", at_cycle=500, hard=True)),
-        # A worker that wedges; the harness kills it at the timeout.
+        # A worker that wedges; the harness kills it at the timeout and
+        # reports the cell as a JobTimeout after one attempt.
         SweepJob("x264", "swque", MEDIUM, instructions,
                  fault=FaultSpec("hang", at_cycle=500, hang_seconds=600)),
         # A run that cannot converge in its cycle budget.  The simulator

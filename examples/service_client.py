@@ -3,7 +3,10 @@
 
 The first pass simulates every cell; the second pass is served entirely
 from the content-addressed result cache (asserted via the per-job
-``cached`` flag and the server's ``/metricsz`` counters).  Last, one
+``cached`` flag and the server's ``/metricsz`` counters).  Each job the
+server simulates costs exactly one cache read, at admission: the run
+fails unless ``cache.misses`` grows by the number of cold-pass jobs it
+simulated.  Last, one
 payload is submitted twice under one idempotency token: both records
 must carry the same job id, and ``/metricsz`` must count the replay.
 This script doubles as the CI service smoke test.
@@ -83,8 +86,9 @@ def main() -> int:
         print(f"server healthy: version {health['version']}, "
               f"up {health['uptime_s']}s")
 
+        misses_before = client.metricsz()["cache"]["misses"]
         print("first pass (cold cache):")
-        run_batch(client, "cold")
+        simulated = len(BATCH) - run_batch(client, "cold")
 
         print("second pass (identical batch):")
         hits = run_batch(client, "warm")
@@ -105,12 +109,18 @@ def main() -> int:
             print("FAIL: /metricsz does not report the cache hits",
                   file=sys.stderr)
             return 1
+        if cache["misses"] - misses_before != simulated:
+            print(f"FAIL: {simulated} simulated job(s) cost "
+                  f"{cache['misses'] - misses_before} cache misses; "
+                  f"expected one read each", file=sys.stderr)
+            return 1
         if not replay_token(client):
             print("FAIL: a replayed token did not return the same job",
                   file=sys.stderr)
             return 1
         print("OK: second pass was served entirely from the result cache, "
-              "and a replayed token returned the same job")
+              "each simulated job cost one cache read, and a replayed "
+              "token returned the same job")
         return 0
     finally:
         if service is not None:

@@ -127,13 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="supervised worker processes (default: CPU "
                             "count - 1); 0 = run inline in this process")
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-job wall-clock budget; overrunning workers "
-                            "are killed (ignored with --jobs 0)")
+                       help="per-job wall-clock budget; an overrunning "
+                            "worker is killed and its cell fails as "
+                            "JobTimeout, never re-run (ignored with --jobs 0)")
     sweep.add_argument("--retries", type=int, default=1,
                        help="extra attempts for a cell whose worker was "
-                            "lost (crash, hang, timeout); a cell that fails "
-                            "is deterministic and never re-run (default 1; "
-                            "ignored with --jobs 0)")
+                            "lost (crash, hang); a cell that fails or times "
+                            "out is deterministic and never re-run (default "
+                            "1; ignored with --jobs 0)")
     sweep.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
                        help="base delay before re-running a lost worker's "
                             "cell, doubled per attempt (default 0.5)")
@@ -192,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     node.add_argument("--timeout", type=float, default=None,
                       metavar="SECONDS",
                       help="per-job wall-clock budget; an overrunning "
-                           "worker is killed")
+                           "worker is killed and the job fails as "
+                           "JobTimeout, with no crash charge or re-run")
     node.add_argument("--heartbeat-timeout", type=float, default=10.0,
                       metavar="SECONDS",
                       help="heartbeat staleness before a worker is "

@@ -7,9 +7,9 @@ worker node claims, runs and commits — composed by
 :class:`~repro.service.server.ReproService`:
 
 * :mod:`repro.service.cache` — a content-addressed, on-disk result
-  store (repeat experiments become file reads) plus the
-  :class:`~repro.service.cache.CircuitBreaker` that lets the service
-  degrade to compute-and-return when the store fails.
+  store (repeat experiments become file reads).  Its reads never fail:
+  the frontend reads once per job at admission, and a worker node only
+  writes, so a failing store costs cache entries, never results.
 * :mod:`repro.service.scheduler` — front-door admission control
   (per-tenant token-bucket quotas, priority-aware shedding, backlog
   backpressure) and the job wire format.
@@ -30,7 +30,6 @@ worker node claims, runs and commits — composed by
 
 from repro.service.cache import (
     CACHE_SCHEMA_VERSION,
-    CircuitBreaker,
     ResultCache,
     UncacheableJob,
     cache_key,
@@ -55,7 +54,6 @@ __all__ = [
     "Admission",
     "BacklogFull",
     "CACHE_SCHEMA_VERSION",
-    "CircuitBreaker",
     "Claim",
     "DurableQueue",
     "FencedWrite",

@@ -31,10 +31,9 @@ import functools
 import hashlib
 import json
 import os
-import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.config import config_digest
@@ -193,12 +192,12 @@ class ResultCache:
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result under ``key``, or None (counted as a miss).
 
-        Every failure mode is a miss, never an exception: a missing
-        entry, unparsable JSON (torn write from a pre-atomic-rename
-        crash, disk corruption), an envelope from another schema, or an
-        entry recorded by a different package version.  Corrupt and
-        stale entries are deleted on sight so they stop occupying the
-        size budget.
+        Total: every failure mode is a miss, never an exception — a
+        missing or unreadable entry, unparsable JSON (torn write from a
+        pre-atomic-rename crash, disk corruption), an envelope from
+        another schema or with a malformed result, or an entry recorded
+        by a different package version.  Corrupt and stale entries are
+        deleted on sight so they stop occupying the size budget.
         """
         path = self._entry_path(key)
         try:
@@ -214,7 +213,9 @@ class ResultCache:
                 raise ValueError("unknown entry schema")
             version = envelope["version"]
             result = result_from_dict(envelope["result"])
-        except (ValueError, KeyError, TypeError):
+            if not isinstance(result, SimResult):
+                raise ValueError("entry holds no successful result")
+        except (ValueError, KeyError, TypeError, AttributeError):
             self.counters.inc("misses")
             self.counters.inc("corrupt_entries")
             self._evict_path(path, reason="corrupt")
@@ -226,9 +227,6 @@ class ResultCache:
             self.counters.inc("version_invalidations")
             self._evict_path(path, reason="version")
             return None
-        if not isinstance(result, SimResult):  # pragma: no cover - put() guards
-            self.counters.inc("misses")
-            return None
         self.counters.inc("hits")
         self._touch(path)
         return result
@@ -238,22 +236,22 @@ class ResultCache:
         key: str,
         result: CellResult,
         job: Optional[SweepJob] = None,
-        if_absent: bool = False,
     ) -> bool:
         """Store ``result`` under ``key``; returns True if it was written.
 
         Failed results are not stored (counted under ``put_skipped``).
-        The write is atomic, and eviction runs afterwards so the new
-        entry is part of the size accounting.  ``if_absent=True`` skips
-        the write when the key already exists (counted under
-        ``put_duplicate``) — fleet nodes use it so the first committed
-        result for a content key wins and duplicates don't churn the
-        LRU clock.
+        An entry is never overwritten: a key that already exists is
+        skipped (counted under ``put_duplicate``), so the first result
+        stored for a content key wins and racing writers (fleet nodes,
+        sweeps sharing the directory) don't churn the LRU clock.  The
+        write is atomic, and eviction runs afterwards so the new entry
+        is part of the size accounting.  A failed disk write raises
+        ``OSError``.
         """
         if not isinstance(result, SimResult):
             self.counters.inc("put_skipped")
             return False
-        if if_absent and key in self:
+        if key in self:
             self.counters.inc("put_duplicate")
             return False
         envelope = {
@@ -342,113 +340,3 @@ class ResultCache:
             max_bytes=self.max_bytes,
         )
         return snapshot
-
-
-#: Circuit-breaker states, in escalation order.
-BREAKER_STATES = ("closed", "open", "half_open")
-
-
-class CircuitBreaker:
-    """Classic three-state circuit breaker for a flaky backend.
-
-    The caller runs each backend operation through :meth:`guard` (or
-    brackets it with :meth:`allow` / :meth:`success` / :meth:`failure`):
-
-    * **closed** (healthy): every call allowed; ``failure_threshold``
-      consecutive failures trip it open.
-    * **open** (failing): every call refused — the service degrades to
-      compute-and-return, skipping the cache — until ``cooldown``
-      seconds pass.
-    * **half_open** (probing): after the cooldown, exactly one call is
-      let through.  Its success closes the breaker; its failure re-opens
-      it for another cooldown.
-
-    Thread-safe; all transitions happen under one lock.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be positive")
-        if cooldown <= 0:
-            raise ValueError("cooldown must be positive")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._trips = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow(self) -> bool:
-        """May the caller hit the backend right now?"""
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "open":
-                if self._clock() - self._opened_at >= self.cooldown:
-                    self._state = "half_open"
-                    self._probing = True
-                    return True
-                return False
-            # half_open: one outstanding probe at a time.
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def success(self) -> None:
-        with self._lock:
-            self._state = "closed"
-            self._failures = 0
-            self._probing = False
-
-    def failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if self._state == "half_open" or (
-                self._state == "closed"
-                and self._failures >= self.failure_threshold
-            ):
-                self._state = "open"
-                self._opened_at = self._clock()
-                self._trips += 1
-
-    def guard(self, operation: Callable[[], Any], counters) -> Any:
-        """Run one backend operation through the breaker.
-
-        An open breaker skips the operation (counted ``cache_bypass``);
-        a raising one counts ``cache_errors`` and a failure.  Both
-        return None, so the caller degrades to compute-and-return
-        instead of erroring the request."""
-        if not self.allow():
-            counters.inc("cache_bypass")
-            return None
-        try:
-            value = operation()
-        except Exception:
-            counters.inc("cache_errors")
-            self.failure()
-            return None
-        self.success()
-        return value
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_failures": self._failures,
-                "trips": self._trips,
-            }

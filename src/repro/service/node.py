@@ -13,20 +13,22 @@ its own late writes (a SIGSTOP zombie waking up) are fenced at commit.
 One iteration of the node loop (:meth:`WorkerNode.step`):
 
 1. **claim** — while the pool has idle workers (and the node is not
-   draining), claim the best runnable job.  A content-key cache hit is
-   committed immediately without touching a worker.  Cache access goes
-   through a :class:`~repro.service.cache.CircuitBreaker`: a failing
-   cache degrades to compute-and-return, it never stops the loop.
+   draining), claim the best runnable job and dispatch it.  The node
+   never reads the cache: the frontend answered hits at admission, and
+   the queue settles a job whose content key already committed by
+   copying its twin.
 2. **renew** — leases past half their window are renewed; a renewal
    that discovers a higher epoch marks the lease lost but does *not*
    kill the running job.  Aborting it buys nothing: the outcome is
    already owned by the new epoch holder, and the stale result is
    cheaper to fence at commit than to guarantee a clean abort.
 3. **supervise** — drain pool events.  A result commits (exactly-once,
-   fenced); a lost worker (crash/hang/timeout) releases the lease with
-   a crash charge so the fleet's poison-job budget keeps counting
-   across nodes — or, when that loss exhausts the budget, quarantines
-   the job at once with the loss that did it.
+   fenced), and a success is first stored in the cache — a failed disk
+   write is counted (``cache_errors``) and the result commits anyway;
+   a lost worker (crash/hang) releases the lease with a crash charge so
+   the fleet's poison-job budget keeps counting across nodes — or, when
+   that loss exhausts the budget, quarantines the job at once with the
+   loss that did it.
 4. **heartbeat** — publish the node registry file (role, pool health,
    counters) that frontends aggregate into the ``/healthz`` fleet view.
 
@@ -48,12 +50,7 @@ from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.service.cache import (
-    CircuitBreaker,
-    ResultCache,
-    UncacheableJob,
-    cache_key,
-)
+from repro.service.cache import ResultCache, UncacheableJob, cache_key
 from repro.service.queue import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_JOB_CRASHES,
@@ -81,9 +78,8 @@ class WorkerNode:
 
     ``queue_dir`` and ``cache_dir`` also accept an open
     :class:`DurableQueue`/:class:`ResultCache`, which the in-process
-    node of ``serve`` shares with its frontend (it then also shares the
-    frontend's ``breaker``).  ``job_runner`` replaces the simulation in
-    the forked workers (tests).
+    node of ``serve`` shares with its frontend.  ``job_runner``
+    replaces the simulation in the forked workers (tests).
     """
 
     def __init__(
@@ -105,9 +101,7 @@ class WorkerNode:
             committed=0,
             commit_duplicates=0,
             commit_fenced=0,
-            cache_hits=0,
             cache_errors=0,
-            cache_bypass=0,
             worker_losses=0,
             quarantined=0,
             drained_releases=0,
@@ -126,7 +120,6 @@ class WorkerNode:
         self.node_id = self.queue.node_id
         self.cache = (ResultCache(cache_dir)
                       if isinstance(cache_dir, (str, Path)) else cache_dir)
-        self.breaker = CircuitBreaker()
         self.pool = ProcessWorkerPool(
             size=workers,
             job_runner=job_runner,
@@ -225,14 +218,6 @@ class WorkerNode:
                 self.counters.inc("bad_job_records")
                 self._commit_failure(entry, claim, "MalformedJob", str(exc))
                 continue
-            if self.cache is not None and entry.key:
-                hit = self.breaker.guard(
-                    lambda: self.cache.get(entry.key), self.counters)
-                if hit is not None:
-                    self.counters.inc("cache_hits")
-                    self._commit(entry, claim, hit.to_dict(), "done",
-                                 cached=True)
-                    continue
             if not self.pool.dispatch(entry.id, job):
                 # Raced our own idle count (a worker died under us);
                 # requeue without a crash charge.
@@ -264,12 +249,12 @@ class WorkerNode:
                 ok = isinstance(result, SimResult)
                 if ok and self.cache is not None and entry.key:
                     # Cache before commit: whoever sees the result can
-                    # resubmit it as a hit.  First put wins; a duplicate
-                    # put is a no-op, so racing nodes never churn it.
-                    self.breaker.guard(
-                        lambda: self.cache.put(entry.key, result, job=job,
-                                               if_absent=True),
-                        self.counters)
+                    # resubmit it as a hit.  A failed disk write costs
+                    # the cache entry, never the result.
+                    try:
+                        self.cache.put(entry.key, result, job=job)
+                    except OSError:
+                        self.counters.inc("cache_errors")
                 self._commit(entry, claim, result.to_dict(),
                              "done" if ok else "failed")
             else:  # ("lost", job_id, job, kind, message)
@@ -295,12 +280,9 @@ class WorkerNode:
         claim: Claim,
         result_dict: dict,
         state: str,
-        cached: bool = False,
     ) -> None:
         try:
-            outcome = self.queue.commit(
-                claim, result_dict, state=state, cached=cached
-            )
+            outcome = self.queue.commit(claim, result_dict, state=state)
         except FencedWrite:
             self.counters.inc("commit_fenced")
             return

@@ -710,7 +710,6 @@ class DurableQueue:
         claim: Claim,
         result: dict,
         state: str = "done",
-        cached: bool = False,
     ) -> str:
         """Publish the result for a claimed job — exactly once, fenced.
 
@@ -741,7 +740,6 @@ class DurableQueue:
                 node=claim.node,
                 epoch=claim.epoch,
                 intake=self._intake(entry) if entry is not None else {},
-                cached=cached,
                 crashes=claim.crashes,
             ):
                 return "committed"

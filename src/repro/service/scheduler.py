@@ -7,14 +7,15 @@ a ``serve --queue-dir`` frontend of a fleet — admits a submission
 through :class:`Admission` before it reaches the durable queue
 (:mod:`repro.service.queue`):
 
-* **Per-tenant quotas** — optional token buckets (:class:`TokenBucket`):
-  a tenant over its rate is rejected with :class:`RateLimited` carrying
-  a ``retry_after`` hint (HTTP 429 + ``Retry-After``), per Kawahara et
+* **Per-tenant quotas** — an optional token bucket per tenant
+  (:class:`TokenBucket`), all at one rate and burst: a tenant over its
+  rate is rejected with :class:`RateLimited` carrying a ``retry_after``
+  hint (HTTP 429 + ``Retry-After``), per Kawahara et
   al.'s case for principled admission control at a bounded buffer
   (arXiv:1207.5959).
-* **Priority shedding** — past an occupancy watermark of the unclaimed
-  backlog, priority <= 0 submissions are shed so the remaining headroom
-  serves urgent work.
+* **Priority shedding** — past :data:`DEFAULT_SHED_WATERMARK` occupancy
+  of the unclaimed backlog, priority <= 0 submissions are shed so the
+  remaining headroom serves urgent work.
 * **Backpressure** — a full backlog rejects every submission with
   :class:`BacklogFull` instead of queueing unbounded work.
 
@@ -171,26 +172,17 @@ class Admission:
         max_backlog: int = 64,
         quota_rate: Optional[float] = None,
         quota_burst: float = 10.0,
-        quotas: Optional[Dict[str, Dict[str, float]]] = None,
-        shed_watermark: float = DEFAULT_SHED_WATERMARK,
     ) -> None:
         if max_backlog < 1:
             raise ValueError("max_backlog must be positive")
-        if not (0.0 < shed_watermark <= 1.0):
-            raise ValueError("shed_watermark must be in (0, 1]")
         self.counters = counters
         self._lock = threading.Lock()
         self.max_backlog = max_backlog
-        self.shed_watermark = shed_watermark
-        # Explicit quotas first, then a default-rate bucket per new
-        # tenant (None = unlimited).
+        # One bucket per tenant, made on its first submission
+        # (``quota_rate=None``: unlimited).
         self._quota_rate = quota_rate
         self._quota_burst = quota_burst
-        self._buckets: Dict[str, TokenBucket] = {
-            tenant: TokenBucket(rate=float(spec["rate"]),
-                                burst=float(spec.get("burst", quota_burst)))
-            for tenant, spec in (quotas or {}).items()
-        }
+        self._buckets: Dict[str, TokenBucket] = {}
         self._tenants: Dict[str, Dict[str, int]] = {}
 
     def _tenant(self, tenant: str) -> Dict[str, int]:
@@ -232,13 +224,13 @@ class Admission:
                     f"{self.max_backlog}); retry after the queue drains",
                     retry_after=BACKLOG_RETRY_AFTER,
                 )
-            shed_at = self.shed_watermark * self.max_backlog
+            shed_at = DEFAULT_SHED_WATERMARK * self.max_backlog
             if priority <= 0 and backlog >= shed_at:
                 self.counters.inc("shed")
                 stats["shed"] += 1
                 raise BacklogFull(
                     f"load shedding: backlog at {backlog}/{self.max_backlog}, "
-                    f"above the {self.shed_watermark:.0%} watermark; only "
+                    f"above the {DEFAULT_SHED_WATERMARK:.0%} watermark; only "
                     f"priority > 0 submissions are admitted",
                     retry_after=BACKLOG_RETRY_AFTER,
                 )

@@ -41,7 +41,7 @@ from typing import Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro._version import __version__
-from repro.service.cache import DEFAULT_MAX_BYTES, CircuitBreaker, ResultCache
+from repro.service.cache import DEFAULT_MAX_BYTES, ResultCache
 from repro.service.node import WorkerNode, queue_key_for
 from repro.service.queue import (
     DEFAULT_LEASE_SECONDS,
@@ -50,7 +50,6 @@ from repro.service.queue import (
     token_job_id,
 )
 from repro.service.scheduler import (
-    DEFAULT_SHED_WATERMARK,
     Admission,
     BacklogFull,
     RateLimited,
@@ -207,7 +206,7 @@ class ReproService:
     Without ``queue_dir`` the service also runs one in-process
     :class:`~repro.service.node.WorkerNode` over a private queue at
     ``<cache_dir>/queue`` (a temporary directory without a cache dir),
-    sharing its queue handle, cache and breaker; the node's stable id
+    sharing its queue handle and cache; the node's stable id
     lets a restart after ``kill -9`` take over its leases at once.  With
     ``queue_dir`` it is a stateless fleet frontend and ``python -m repro
     work`` nodes run the jobs.  Both admit through :class:`Admission`.
@@ -227,10 +226,6 @@ class ReproService:
         heartbeat_timeout: float = 10.0,
         quota_rate: Optional[float] = None,
         quota_burst: float = 10.0,
-        quotas: Optional[dict] = None,
-        shed_watermark: float = DEFAULT_SHED_WATERMARK,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 30.0,
         queue_dir: Optional[Union[str, Path]] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         fsync: bool = True,
@@ -243,20 +238,15 @@ class ReproService:
         self.jobs = CounterSet(
             submitted=0, cache_hits=0, token_dedup=0, rejected_backlog=0,
             rejected_closed=0, rate_limited=0, shed=0, cache_errors=0,
-            cache_bypass=0,
         )
         self.cache = (
             ResultCache(cache_dir, max_bytes=cache_max_bytes)
             if cache_dir is not None
             else None
         )
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold, cooldown=breaker_cooldown
-        )
         self.admission = Admission(
             self.jobs, max_backlog=max_backlog, quota_rate=quota_rate,
-            quota_burst=quota_burst, quotas=quotas,
-            shed_watermark=shed_watermark,
+            quota_burst=quota_burst,
         )
         self._admit_lock = threading.Lock()
         self._closed = False
@@ -290,7 +280,6 @@ class ReproService:
                     job_runner=job_runner,
                     counters=self.jobs,
                 )
-                self.node.breaker = self.breaker
                 # Fork the workers before this service binds its socket
                 # or starts a thread, so they inherit neither.
                 self.node.start()
@@ -398,10 +387,11 @@ class ReproService:
         """Validate and admit one submission payload; returns its record.
 
         A cache hit costs no worker, so it settles at once, before any
-        quota or backlog check.  A tokened job's id comes from its token,
-        so the replay check is two ``stat``s, and the exclusive publish of
-        that id gives concurrent posts of one token one job, on any
-        frontend.
+        quota or backlog check.  This is the job's only cache read, and
+        it cannot fail: a cache that cannot answer is a miss, and the
+        job runs.  A tokened job's id comes from its token, so the
+        replay check is two ``stat``s, and the exclusive publish of that
+        id gives concurrent posts of one token one job, on any frontend.
         """
         job = job_from_dict(payload)
         priority = int(payload.get("priority") or 0)
@@ -418,7 +408,7 @@ class ReproService:
         job_dict = job_to_dict(job, priority, tenant)
         hit = None
         if key is not None and self.cache is not None:
-            hit = self.breaker.guard(lambda: self.cache.get(key), self.jobs)
+            hit = self.cache.get(key)
         replay = token_job_id(token) if token is not None else None
         with self._admit_lock:
             if replay is not None and self.queue.admitted(replay):
@@ -481,7 +471,6 @@ class ReproService:
             "queue_depth": queue_metrics["pending"],
             "queue_running": queue_metrics["running"],
             "oldest_unclaimed_age_s": queue_metrics["oldest_unclaimed_age_s"],
-            "breaker": self.breaker.state,
         }
         if self.node is not None:
             payload.update(workers_alive=self.node.pool.alive_count(),
@@ -516,7 +505,6 @@ class ReproService:
             workers=self.node.pool.size if self.node is not None else 0,
             closed=self._closed,
             tenants=self.admission.tenants(),
-            breaker=self.breaker.stats(),
         )
         return {
             "version": __version__,

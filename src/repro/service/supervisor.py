@@ -20,8 +20,8 @@ Each worker:
   pipe message, so it can never interleave with a result send.)
 
 The supervisor (:meth:`ProcessWorkerPool.poll`, driven by the node's
-loop or by :func:`repro.sim.harness.run_sweep`) detects three failure shapes and turns each into a structured
-event instead of an exception:
+loop or by :func:`repro.sim.harness.run_sweep`) detects three failure
+shapes and turns each into a structured event instead of an exception:
 
 * ``WorkerCrashed`` — the process died (SIGKILL, segfault, OOM) without
   reporting a result;
@@ -31,12 +31,15 @@ event instead of an exception:
   the worker is SIGKILLed.
 
 In every case the dead worker is **restarted** immediately (the pool
-never shrinks), and the loop that owns the pool decides the in-flight
-job's fate.  Losing a worker is the one failure that a re-run can cure,
-so that is where retries live.  A node releases the job's lease with a
-crash charge, or quarantines it as a poison job after
-``max_job_crashes`` worker losses rather than crash-looping the fleet
-forever.  A sweep re-dispatches the cell after a backoff, up to its
+never shrinks).  A timeout is the job's result: the simulation is
+deterministic and would overrun its budget again, so the pool reports
+it as a failed cell (``error_type="JobTimeout"``, one attempt).  A
+crash or hang is a lost worker, and the loop that owns the pool decides
+the in-flight job's fate.  Losing a worker is the one failure that a
+re-run can cure, so that is where retries live.  A node releases the
+job's lease with a crash charge, or quarantines it as a poison job
+after ``max_job_crashes`` worker losses rather than crash-looping the
+fleet forever.  A sweep re-dispatches the cell after a backoff, up to its
 ``retries``.
 """
 
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.harness import WORKER_LOSS_KINDS, SweepJob, _run_job, run_job_once
+from repro.sim.results import FailedResult
 from repro.telemetry.metrics import CounterSet
 
 #: Seconds between worker heartbeat refreshes.
@@ -140,7 +144,7 @@ class ProcessWorkerPool:
     :meth:`dispatch` and :meth:`poll` from its loop.
     Events come back as tuples::
 
-        ("result", job_id, job, cell_result)
+        ("result", job_id, job, cell_result)     # a JobTimeout included
         ("lost",   job_id, job, kind, message)   # kind in WORKER_LOSS_KINDS
 
     A lost worker has already been replaced by the time its event is
@@ -299,18 +303,24 @@ class ProcessWorkerPool:
                     counter="worker_hangs", kill=True,
                 ))
                 continue
-            # 4. Job over its wall-clock budget?
+            # 4. Job over its wall-clock budget?  Its result is the
+            # timeout: a deterministic run would overrun it again.
             if (
                 worker.busy
                 and self.job_timeout is not None
                 and now - worker.job_started > self.job_timeout
             ):
-                events.append(self._lose(
+                _, job_id, job, kind, message = self._lose(
                     index, worker, "JobTimeout",
                     f"job exceeded the {self.job_timeout:g}s wall-clock "
                     f"budget on worker pid={worker.pid}; worker killed",
                     counter="job_timeouts", kill=True,
-                ))
+                )
+                events.append(("result", job_id, job, FailedResult(
+                    workload=job.workload_name, policy=job.policy,
+                    config=job.config.name, error_type=kind,
+                    error_message=message,
+                )))
         return [event for event in events if event is not None]
 
     def _lose(

@@ -11,9 +11,9 @@ inversion: detect, correct, and keep issuing.  :func:`run_sweep` runs
 * on the service's supervised worker pool
   (:class:`~repro.service.supervisor.ProcessWorkerPool`) — forked
   workers with a per-job wall-clock ``timeout``; a worker that
-  segfaults, is OOM-killed, hangs, or overruns its budget is replaced
-  and its cell reported as a ``WorkerCrashed``/``WorkerHung``/
-  ``JobTimeout`` loss.
+  segfaults, is OOM-killed, hangs, or overruns its budget is replaced.
+  A crash or hang is a ``WorkerCrashed``/``WorkerHung`` loss; a cell
+  over its budget is a ``JobTimeout`` failure, reported once.
 
 Failures are data, not crashes: a failed cell becomes a
 :class:`~repro.sim.results.FailedResult` carrying the exception class,
@@ -56,9 +56,10 @@ from repro.sim.simulator import DEFAULT_INSTRUCTIONS, simulate
 CellResult = Union[SimResult, FailedResult]
 
 #: How a supervised worker can be lost mid-job (the ``error_type`` of
-#: the failure the pool reports): it died, stopped heart-beating, or
-#: overran its wall-clock budget.
-WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung", "JobTimeout")
+#: the failure the pool reports): it died, or stopped heart-beating.
+#: A job over its wall-clock budget is not a loss but a ``JobTimeout``
+#: result: the simulation is deterministic and would time out again.
+WORKER_LOSS_KINDS = ("WorkerCrashed", "WorkerHung")
 
 
 class SweepFailed(RuntimeError):
@@ -392,9 +393,9 @@ def run_sweep(
     sweeps and deterministic tests.
 
     Every cell runs once: the simulator is deterministic, so an
-    exception yields a :class:`~repro.sim.results.FailedResult` cell
-    (or, with ``fail_fast=True``, raises :class:`SweepFailed`) without
-    a re-run.  Only a lost worker (:data:`WORKER_LOSS_KINDS`) is
+    exception, or a run past ``timeout`` (``JobTimeout``), yields a
+    :class:`~repro.sim.results.FailedResult` cell (or, with
+    ``fail_fast=True``, raises :class:`SweepFailed`) without a re-run.  Only a lost worker (:data:`WORKER_LOSS_KINDS`) is
     retried, up to ``retries`` extra times, waiting
     ``backoff * 2**(attempt-1)`` seconds before each re-dispatch.
 
@@ -476,7 +477,7 @@ def run_sweep(
         report.executed += 1
         if job.key in cache_keys:
             # Durable before anyone hears of it; failures are skipped.
-            cache.put(cache_keys[job.key], result, job=job, if_absent=True)
+            cache.put(cache_keys[job.key], result, job=job)
         if on_result is not None:
             on_result(job, result)
         if fail_fast and isinstance(result, FailedResult):

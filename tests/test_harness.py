@@ -376,10 +376,12 @@ class TestProcessExecutor:
     def test_hung_worker_is_killed_at_the_timeout(self):
         job = SweepJob("exchange2", "age", MEDIUM, N,
                        fault=FaultSpec("hang", at_cycle=50, hang_seconds=120))
-        report = run_sweep([job], timeout=1.5, retries=0)
+        report = run_sweep([job], timeout=1.5, retries=1)
         failure = report.failures[0]
         assert failure.error_type == "JobTimeout"
         assert "wall-clock" in failure.error_message
+        # Deterministic: a timed-out cell is a result, never retried.
+        assert failure.attempts == 1 and report.retried == 0
 
     def test_hard_crashed_worker_is_detected(self):
         # os._exit(13) skips the error report, like a segfault or OOM kill.
@@ -425,13 +427,13 @@ class TestProcessExecutor:
         assert retried == [(job, 2, "WorkerCrashed")]
 
     def test_worker_loss_kinds_are_one_transient_set(self):
-        # Worker losses are the only failures a sweep retries.
+        # Worker losses are the only failures a sweep retries; a timeout
+        # is a deterministic result, not a loss.
         from repro.service import supervisor
         from repro.sim import harness
 
         assert supervisor.WORKER_LOSS_KINDS is WORKER_LOSS_KINDS
-        assert WORKER_LOSS_KINDS == ("WorkerCrashed", "WorkerHung",
-                                     "JobTimeout")
+        assert WORKER_LOSS_KINDS == ("WorkerCrashed", "WorkerHung")
         assert not hasattr(harness, "TRANSIENT_ERRORS")
 
     def test_worker_failure_report_crosses_the_process_boundary(self, tmp_path):

@@ -109,6 +109,19 @@ class TestSchedulerCore:
         finally:
             svc.stop()
 
+    def test_fresh_job_costs_one_cache_read(self, tmp_path):
+        """Admission is the only cache read; the node only writes."""
+        svc = ReproService(cache_dir=tmp_path, workers=1).start()
+        try:
+            client = ServiceClient(svc.url)
+            record = client.submit(**spec())
+            assert client.wait_result(record["id"], timeout=120).ok
+            cache = client.metricsz()["cache"]
+            assert cache["misses"] == 1
+            assert cache["hits"] == 0 and cache["stores"] == 1
+        finally:
+            svc.stop()
+
     def test_single_flight_identical_submissions_simulate_once(
         self, gated, tmp_path
     ):
@@ -158,12 +171,13 @@ class TestSchedulerCore:
         assert client.metricsz()["scheduler"]["rejected_backlog"] == 1
 
     def test_load_shedding_rejects_low_priority_past_watermark(self, gated):
-        svc, runner, client = gated(max_backlog=4, shed_watermark=0.5)
+        svc, runner, client = gated(max_backlog=4)
         client.submit(**spec())              # occupies the worker
         assert runner.wait_entered()
         client.submit(**spec(policy="shift"))
         client.submit(**spec(policy="swque"))
-        # 2 queued >= 0.5 * 4: priority-0 work is shed...
+        client.submit(**spec(policy="circ-pc"))
+        # 3 queued >= 0.75 * 4: priority-0 work is shed...
         with pytest.raises(ServiceError, match="load shedding"):
             client.submit(**spec(policy="circ"))
         # ...but urgent work is still admitted.

@@ -137,6 +137,7 @@ class TestCacheStore:
     @pytest.mark.parametrize("garbage", [
         b"", b"not json at all", b"[1, 2, 3]\n",
         b'{"schema": 999, "result": {}}\n',
+        b'{"schema": 1, "version": "x", "result": "oops"}\n',
     ])
     def test_garbage_entries_read_as_miss(self, tmp_path, garbage):
         cache = ResultCache(tmp_path)
@@ -144,6 +145,7 @@ class TestCacheStore:
         path.write_bytes(garbage)
         assert cache.get("somekey") is None
         assert cache.stats()["corrupt_entries"] == 1
+        assert not path.exists()
 
     def test_version_mismatch_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,7 +1,7 @@
 """Chaos tests for the service layer.
 
 Every test here injects a real fault — SIGKILLed workers and servers,
-SIGSTOPped (hung) workers, failing cache backends — and asserts the
+SIGSTOPped (hung) workers, failing cache writes — and asserts the
 service's contract under it: an accepted job is either completed with a
 valid result or reported as quarantined; it is never silently lost, and
 the cache is never corrupted.  Everything goes through :class:`ReproService` and its HTTP
@@ -32,7 +32,6 @@ import pytest
 from conftest import CountingRunner
 from repro.config import get_config
 from repro.service import (
-    CircuitBreaker,
     ReproService,
     ResultCache,
     ServiceClient,
@@ -164,15 +163,20 @@ class TestWorkerCrashRecovery:
         finally:
             svc.stop(drain=False)
 
-    def test_job_over_wallclock_budget_times_out_then_quarantines(self):
-        svc, client = serving(job_runner=slow_runner, timeout=0.5,
-                              max_job_crashes=0)
+    def test_job_over_wallclock_budget_fails_once(self):
+        # A deterministic simulation over its budget would overrun it
+        # again: the timeout is the job's result, with no crash charge.
+        svc, client = serving(job_runner=slow_runner, timeout=0.5)
         try:
             record = client.submit(**spec())
             record, result = wait_terminal(client, record["id"], timeout=60.0)
-            assert record["state"] == "quarantined"
-            assert "JobTimeout" in result.error_message
-            assert client.metricsz()["node"]["pool"]["job_timeouts"] == 1
+            assert record["state"] == "failed"
+            assert record["crashes"] == 0
+            assert result.error_type == "JobTimeout"
+            assert result.attempts == 1
+            node = client.metricsz()["node"]
+            assert node["pool"]["job_timeouts"] == 1
+            assert node.get("worker_losses", 0) == 0
         finally:
             svc.stop(drain=False)
 
@@ -378,73 +382,36 @@ class TestRestartRecovery:
         ReproService(cache_dir=clean, workers=1).stop()
 
 
-class TestCircuitBreaker:
-    def test_state_machine(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=5.0,
-                                 clock=lambda: clock[0])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.failure()  # threshold: trips open
-        assert breaker.state == "open" and not breaker.allow()
-        clock[0] = 5.0  # cooldown elapsed: one probe allowed
-        assert breaker.allow()
-        assert breaker.state == "half_open"
-        assert not breaker.allow()  # probe outstanding
-        breaker.failure()  # probe failed: re-open
-        assert breaker.state == "open"
-        clock[0] = 10.0
-        assert breaker.allow()
-        breaker.success()
-        assert breaker.state == "closed"
-        assert breaker.stats()["trips"] == 2
-
+class TestCacheFaults:
     def test_failing_cache_degrades_to_compute_and_return(
         self, tmp_path, monkeypatch
     ):
         class FailingCache(ResultCache):
             broken = True
 
-            def get(self, key):
+            def put(self, key, result, job=None):
                 if self.broken:
-                    raise OSError("disk on fire")
-                return super().get(key)
-
-            def put(self, key, result, job=None, **kwargs):
-                if self.broken:
-                    raise OSError("disk on fire")
-                return super().put(key, result, job, **kwargs)
+                    raise OSError("disk full")
+                return super().put(key, result, job)
 
         monkeypatch.setattr(server_module, "ResultCache", FailingCache)
-        svc, client = serving(cache_dir=tmp_path, breaker_threshold=2,
-                              breaker_cooldown=0.05)
+        svc, client = serving(cache_dir=tmp_path)
         cache = svc.cache
         try:
-            # The frontend's admission get and the node's claim get and
-            # settle put all fail — after two failures the breaker is
-            # open and cache access is skipped entirely, yet results
-            # still flow.
-            first = client.submit(**spec(policy="age"))
-            _, result = wait_terminal(client, first["id"])
-            assert result.ok
-            second = client.submit(**spec(policy="shift"))
-            _, result = wait_terminal(client, second["id"])
-            assert result.ok
-            metrics = client.metricsz()["scheduler"]
-            assert metrics["cache_errors"] >= 2
-            assert metrics["breaker"]["state"] == "open"
-            assert metrics["cache_bypass"] >= 1
+            # Every put fails; each is counted, and results still flow.
+            for count, policy in enumerate(("age", "shift"), start=1):
+                record = client.submit(**spec(policy=policy))
+                record, result = wait_terminal(client, record["id"])
+                assert record["state"] == "done" and result.ok
+                assert client.metricsz()["scheduler"]["cache_errors"] == count
             assert len(cache) == 0  # nothing persisted while broken
-            # Backend heals; after the cooldown the half-open probe
-            # succeeds and caching resumes.
+            # The disk heals: the next fresh job is cached at once.
             cache.broken = False
-            time.sleep(0.06)
             third = client.submit(**spec(policy="swque"))
             _, result = wait_terminal(client, third["id"])
             assert result.ok
-            assert svc.breaker.state == "closed"
             assert len(cache) == 1
+            assert client.metricsz()["scheduler"]["cache_errors"] == 2
         finally:
             svc.stop()
 
@@ -613,7 +580,6 @@ class TestHealthAndMetricsSurface:
             health = client.wait_healthy()
             assert health["mode"] == "single"
             assert health["workers_alive"] == 1
-            assert health["breaker"] == "closed"
             assert health["queue_depth"] == 0
             assert "recovered_jobs" in health and "queue_running" in health
             metrics = client.metricsz()
@@ -622,7 +588,6 @@ class TestHealthAndMetricsSurface:
             assert node["worker_pids"], "worker pids must be exported"
             assert metrics["queue"]["pending"] == 0
             sched = metrics["scheduler"]
-            assert sched["breaker"]["state"] == "closed"
             assert "rate_limited" in sched and "quarantined" in sched
             assert metrics["cache"]["evict_race"] == 0
         finally:
