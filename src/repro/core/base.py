@@ -173,6 +173,13 @@ class IssueQueue(ABC):
         self._commit_grants(granted)
         return granted
 
+    def select_idle(self) -> bool:
+        """True when :meth:`select` this cycle would grant nothing and
+        change nothing, whatever the function units; the pipeline then
+        may advance idle cycles in bulk.  A queue whose select does work
+        on its own (a mover, a pending grant) must override this."""
+        return not self.ready
+
     def _guard_grant(self, inst: DynInst) -> None:
         """The per-grant invariant checks (the guard layer's grant half).
 
@@ -235,9 +242,13 @@ class IssueQueue(ABC):
         self.ready.clear()
         self.occupancy = 0
 
-    def tick(self, cycle: int) -> None:
-        """Per-cycle hook; default records occupancy for utilization stats."""
-        self.stats.iq_occupancy_sum += self.occupancy
+    def tick(self, cycle: int, cycles: int = 1) -> None:
+        """Per-cycle hook; default records occupancy for utilization stats.
+
+        ``cycles`` > 1 accounts a stretch of idle cycles starting at
+        ``cycle`` in one call: the queue is unchanged across them.
+        """
+        self.stats.iq_occupancy_sum += self.occupancy * cycles
 
     def check_invariants(self) -> None:
         """Cheap structural self-check; raise :class:`InvariantViolation`.

@@ -131,6 +131,10 @@ class CircPCQueue(CircularQueue):
             self._pending_rv = []
         return granted
 
+    def select_idle(self) -> bool:
+        # Pending RV grants take part in next cycle's merge.
+        return not self.ready and not self._pending_rv
+
     # -- maintenance ---------------------------------------------------------------
 
     def flush(self) -> None:

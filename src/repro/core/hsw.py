@@ -155,6 +155,9 @@ class HierarchicalQueue(IssueQueue):
         self._commit_grants(granted)
         return granted
 
+    def select_idle(self) -> bool:
+        return False  # the mover runs inside every select
+
     # -- removal / maintenance ---------------------------------------------------------
 
     def remove(self, inst: DynInst) -> None:

@@ -85,6 +85,9 @@ class OldQueue(RandomQueue):
         self._rearrange()
         return super().select(fu_pool, cycle)
 
+    def select_idle(self) -> bool:
+        return False  # the rearranger runs inside every select
+
     def remove(self, inst: DynInst) -> None:
         for idx, candidate in enumerate(self._old):
             if candidate is inst:

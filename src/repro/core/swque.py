@@ -116,6 +116,9 @@ class SwitchingQueue(IssueQueue):
         self.occupancy = self._active.occupancy
         return issued
 
+    def select_idle(self) -> bool:
+        return self._active.select_idle()
+
     @property
     def ready(self):  # type: ignore[override]
         return self._active.ready
@@ -139,12 +142,12 @@ class SwitchingQueue(IssueQueue):
             self._circ_pc.guards = value
             self._age.guards = value
 
-    def tick(self, cycle: int) -> None:
-        self.stats.iq_occupancy_sum += self.occupancy
+    def tick(self, cycle: int, cycles: int = 1) -> None:
+        self.stats.iq_occupancy_sum += self.occupancy * cycles
         if self.mode == MODE_CIRC_PC:
-            self.stats.cycles_in_circ_pc += 1
+            self.stats.cycles_in_circ_pc += cycles
         else:
-            self.stats.cycles_in_age += 1
+            self.stats.cycles_in_age += cycles
 
     def check_invariants(self) -> None:
         """Base and active sub-queue checks plus SWQUE mode consistency."""

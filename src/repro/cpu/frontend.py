@@ -48,6 +48,8 @@ class FetchUnit:
         stats: PipelineStats,
     ) -> None:
         self.trace = trace
+        #: The trace's instruction list, read directly by :meth:`peek`.
+        self._insts = trace._instructions
         self.config = config
         self.branch_unit = branch_unit
         self.hierarchy = hierarchy
@@ -80,15 +82,17 @@ class FetchUnit:
 
     def peek(self, cycle: int) -> Optional[TraceInstruction]:
         """Next instruction available for dispatch this cycle, if any."""
-        if self.stalled(cycle):
+        if cycle < self.resume_cycle:
             return None
-        if self.wrong_path_mode:
+        if self.blocked_branch is not None:
             if not self.config.wrong_path_fetch:
                 return None  # stall-on-mispredict ablation
             return self._make_junk()
-        if not self.has_more():
+        insts = self._insts
+        seq = self.fetch_seq
+        if seq >= len(insts):
             return None
-        inst = self.trace[self.fetch_seq]
+        inst = insts[seq]
         line = inst.pc >> _LINE_SHIFT
         if line != self._fetched_line:
             latency = self.hierarchy.access_instruction(inst.pc, cycle)
@@ -97,6 +101,15 @@ class FetchUnit:
                 self.resume_cycle = cycle + latency
                 return None
         return inst
+
+    def line_fetched(self) -> bool:
+        """True when the next correct-path instruction's I-cache line is
+        already fetched, so :meth:`peek` returns it without a cache access."""
+        seq = self.fetch_seq
+        return (
+            seq < len(self._insts)
+            and self._insts[seq].pc >> _LINE_SHIFT == self._fetched_line
+        )
 
     def advance(self, cycle: int, inst: DynInst) -> bool:
         """Consume the peeked instruction; False ends this cycle's group."""
@@ -131,7 +144,30 @@ class FetchUnit:
 
         The PC reuses the mispredicted branch's line (wrong paths usually
         hit the I-cache); loads wander over a dedicated region, modelling
-        wrong-path cache pollution.
+        wrong-path cache pollution.  The fields come from
+        :meth:`_draw_junk`.
+        """
+        branch = self.blocked_branch
+        assert branch is not None
+        op, dest, srcs, mem_addr = self._draw_junk()
+        return TraceInstruction(
+            self._wp_seq, op, branch.trace.pc, dest=dest, srcs=srcs,
+            mem_addr=mem_addr,
+        )
+
+    def skip_junk(self, count: int) -> None:
+        """Consume the random draws of ``count`` junk instructions unbuilt.
+
+        A cycle that peeks junk but cannot dispatch it still draws it, so
+        the pipeline's bulk advance over such cycles calls this to keep
+        the junk stream where a cycle-by-cycle run would have left it.
+        """
+        draw = self._draw_junk
+        for _ in range(count):
+            draw()
+
+    def _draw_junk(self) -> tuple:
+        """One wrong-path instruction's random fields: (op, dest, srcs, mem_addr).
 
         The register/address draws spell out ``randrange`` as the
         underlying rejection-sampled ``getrandbits`` loop.  The sequence
@@ -147,10 +183,6 @@ class FetchUnit:
         rng = self._wp_rng
         random = rng.random
         getrandbits = rng.getrandbits
-        branch = self.blocked_branch
-        assert branch is not None
-        pc = branch.trace.pc
-        seq = self._wp_seq
         roll = random()
         r = getrandbits(5)          # randrange(1, 30)
         while r >= 29:
@@ -166,13 +198,10 @@ class FetchUnit:
             r = getrandbits(5)      # randrange(1, 30)
             while r >= 29:
                 r = getrandbits(5)
-            return TraceInstruction(
-                seq, OpClass.LOAD, pc, dest=1 + r, srcs=load_srcs,
-                mem_addr=addr,
-            )
+            return OpClass.LOAD, 1 + r, load_srcs, addr
         if roll < 0.34:
             # Wrong-path branch; never predicted or resolved (junk).
-            return TraceInstruction(seq, OpClass.BRANCH, pc, srcs=(src,))
+            return OpClass.BRANCH, None, (src,), None
         if roll < 0.40:
             dest = getrandbits(5)   # randrange(28), twice
             while dest >= 28:
@@ -180,16 +209,12 @@ class FetchUnit:
             s = getrandbits(5)
             while s >= 28:
                 s = getrandbits(5)
-            return TraceInstruction(
-                seq, OpClass.FPADD, pc, dest=33 + dest, srcs=(33 + s,),
-            )
+            return OpClass.FPADD, 33 + dest, (33 + s,), None
         if roll < 0.46:
             r = getrandbits(5)      # randrange(1, 30)
             while r >= 29:
                 r = getrandbits(5)
-            return TraceInstruction(
-                seq, OpClass.IMUL, pc, dest=1 + r, srcs=(src,)
-            )
+            return OpClass.IMUL, 1 + r, (src,), None
         # Plain integer op; a fraction are ready-at-dispatch roots, which
         # is what makes wrong-path work contend for issue slots.
         if random() < 0.65:
@@ -202,9 +227,7 @@ class FetchUnit:
         r = getrandbits(5)          # randrange(1, 30)
         while r >= 29:
             r = getrandbits(5)
-        return TraceInstruction(
-            seq, OpClass.IALU, pc, dest=1 + r, srcs=alu_srcs
-        )
+        return OpClass.IALU, 1 + r, alu_srcs, None
 
     # -- resolution / recovery -------------------------------------------------------
 

@@ -37,7 +37,9 @@ class FunctionUnitPool:
         #: All-zero prototype for the per-cycle usage reset (dict.copy is
         #: one C call; a Python-level loop over the classes is not).
         self._zero_used: Dict[FuClass, int] = {cls: 0 for cls in counts}
-        #: Issue slots already used this cycle, per class.
+        #: Issue slots used in cycle ``_cycle``, per class.  Reset lazily
+        #: by the first query of a later cycle, so a cycle that issues
+        #: nothing costs nothing here.
         self._used: Dict[FuClass, int] = self._zero_used.copy()
         self._cycle = -1
 
@@ -48,6 +50,8 @@ class FunctionUnitPool:
 
     def available(self, fu_class: FuClass, cycle: int) -> int:
         """Units of ``fu_class`` that can still accept an op this cycle."""
+        if cycle != self._cycle:
+            self.new_cycle(cycle)
         free = 0
         for t in self._free_at[fu_class]:
             if t <= cycle:
@@ -57,6 +61,8 @@ class FunctionUnitPool:
     def try_claim(self, inst: DynInst, cycle: int) -> bool:
         """Claim a unit for ``inst`` this cycle; False when none is free."""
         fu_class = inst.fu_class
+        if cycle != self._cycle:
+            self.new_cycle(cycle)
         used = self._used
         free = 0
         units = self._free_at[fu_class]

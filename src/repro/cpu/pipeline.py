@@ -189,6 +189,9 @@ class Pipeline:
         self._run_limit = 0
         self._warm_pending = False
         self._warmup_target = 0
+        #: Cycles :meth:`run` advanced in bulk as idle (see
+        #: :meth:`_advance_idle`); they are simulated cycles all the same.
+        self.ff_skipped_cycles = 0
 
     def __getstate__(self) -> Dict[str, object]:
         # The snapshot sink is typically a closure (not picklable) and a
@@ -249,36 +252,156 @@ class Pipeline:
         return self._run_loop()
 
     def _run_loop(self) -> PipelineStats:
+        rob_entries = self.rob._entries
+        frontend = self.frontend
+        trace_len = len(self.trace)
+        events = self._events
+        stats = self.stats
+        # Per-cycle observers see every cycle through step().  Without
+        # them the loop runs the stage sequence directly and advances
+        # idle stretches in bulk; the oracle only sees commits and the
+        # profiler only samples, so neither needs every cycle.
+        every_cycle = (
+            self.faults is not None
+            or self.telemetry is not None
+            or self.snapshot_sink is not None
+        )
+        stepped = every_cycle or self.profiler is not None
         try:
-            while self.rob or self.frontend.has_more():
-                if self.cycle > self._run_limit:
+            while rob_entries or frontend.fetch_seq < trace_len:
+                cycle = self.cycle
+                if cycle > self._run_limit:
                     raise SimulationDiverged(
-                        f"no convergence after {self.cycle} cycles "
-                        f"(committed {self.stats.committed}/{len(self.trace)})",
-                        partial_stats=self.stats,
-                        cycles=self.cycle,
+                        f"no convergence after {cycle} cycles "
+                        f"(committed {stats.committed}/{trace_len})",
+                        partial_stats=stats,
+                        cycles=cycle,
                     )
-                self.step()
-                if self._warm_pending and self.stats.committed >= self._warmup_target:
-                    self.stats.reset()
+                if (
+                    not every_cycle
+                    and cycle not in events
+                    and not (rob_entries and rob_entries[0].completed)
+                    and self._advance_idle(cycle)
+                ):
+                    continue
+                if stepped:
+                    self.step()
+                else:
+                    self._step_stages(cycle)
+                    self.cycle = cycle + 1
+                    stats.cycles += 1
+                if self._warm_pending and stats.committed >= self._warmup_target:
+                    stats.reset()
                     self._warm_pending = False
             if self.telemetry is not None:
                 # Flush the final partial interval (idempotent, so a
                 # finished-then-snapshotted run resumes harmlessly).
                 self.telemetry.finish(self.cycle)
             if self.oracle is not None:
-                self.oracle.check_final(self.stats.committed)
+                self.oracle.check_final(stats.committed)
         except (InvariantViolation, ArchitecturalMismatch) as exc:
             # Fill in the run context before the violation escapes, so the
             # harness can report how far the simulation got.
             if exc.cycle is None or exc.cycle < 0:
                 exc.cycle = self.cycle
             if exc.committed is None:
-                exc.committed = self.stats.committed
+                exc.committed = stats.committed
             if exc.partial_stats is None:
-                exc.partial_stats = self.stats
+                exc.partial_stats = stats
             raise
-        return self.stats
+        return stats
+
+    def _advance_idle(self, cycle: int) -> int:
+        """Advance over idle cycles from ``cycle`` in one step.
+
+        A cycle is idle when it completes nothing (no completion event),
+        commits nothing (the ROB head is not completed), has no pending
+        flush, its select would grant nothing and change nothing, and its
+        dispatch only records why it stalled: fetch is stalled, or the
+        ROB or IQ is full in front of an instruction that needs no fetch
+        work, or there is nothing to fetch.  The caller checked the first
+        two.  Such a cycle leaves the machine as it found it, so every
+        later cycle is idle too until the next completion event, the end
+        of the fetch stall, the watchdog deadline or the run limit.  The
+        stretch up to the earliest of those is applied as counts: cycles,
+        the one stall counter, the IQ's per-cycle tick and, on the wrong
+        path, the junk draws the stalled dispatches would have made.
+
+        Returns the number of cycles advanced (0 when ``cycle`` is not
+        idle or nothing can be skipped); the cycle it stops at then runs
+        normally.
+        """
+        iq = self.iq
+        frontend = self.frontend
+        if (
+            frontend._resolved is not None
+            or iq.wants_flush
+            or not iq.select_idle()
+        ):
+            return 0
+        stats = self.stats
+        stall = None
+        junk = False
+        if cycle < frontend.resume_cycle:
+            stall = "fetch_stall_cycles"
+            target = frontend.resume_cycle
+        else:
+            target = self._run_limit + 1
+            wrong_path = frontend.blocked_branch is not None
+            if wrong_path and not self.config.wrong_path_fetch:
+                pass  # stall-on-mispredict: nothing to fetch, nothing counted
+            elif not wrong_path and not frontend.has_more():
+                pass  # trace exhausted: only the window drains
+            elif not (wrong_path or frontend.line_fetched()):
+                return 0  # the next peek accesses the I-cache
+            elif self.rob.is_full:
+                stall = "dispatch_stall_rob"
+                junk = wrong_path
+            elif not iq.can_dispatch():
+                stall = "dispatch_stall_iq"
+                junk = wrong_path
+            elif wrong_path:
+                return 0  # whether the junk fits depends on what it draws
+            else:
+                nxt = frontend._insts[frontend.fetch_seq]
+                dest = nxt.dest
+                rename = self.rename
+                if nxt.mem_addr is not None and self.lsq.is_full:
+                    stall = "dispatch_stall_lsq"
+                elif dest is not None and (
+                    rename.free_int <= 0 if dest < 32 else rename.free_fp <= 0
+                ):
+                    stall = "dispatch_stall_regs"
+                else:
+                    return 0
+        if self._events:
+            target = min(target, min(self._events))
+        if self.watchdog_interval is not None:
+            target = min(target, self._last_commit_cycle + self.watchdog_interval)
+        target = min(target, self._run_limit + 1)
+        # Structural guards are side-effect free and see the same state on
+        # every idle cycle, so one check stands for all the skipped ones;
+        # a violation stops the advance at the first cycle that checks.
+        first_check = cycle
+        if self.guards != "full":  # the next multiple of the sample period
+            first_check = -(-cycle // GUARD_SAMPLE_PERIOD) * GUARD_SAMPLE_PERIOD
+        if first_check < target:
+            try:
+                self._check_structure(first_check)
+            except InvariantViolation:
+                target = first_check
+        count = target - cycle
+        if count <= 0:
+            return 0
+        stats.cycles += count
+        if stall is not None:
+            setattr(stats, stall, getattr(stats, stall) + count)
+        if junk:
+            frontend.skip_junk(count)
+        iq.tick(cycle, count)
+        self.cycle = target
+        self.ff_skipped_cycles += count
+        return count
 
     def step(self) -> None:
         """Advance the pipeline by one cycle."""
@@ -308,18 +431,35 @@ class Pipeline:
     def _step_stages(self, cycle: int) -> None:
         """The per-cycle stage sequence (the hot path).
 
+        Complete runs only on a cycle with a completion event (or a
+        resolved branch to recover from), commit only when the ROB head
+        is completed, and the guard layer only when one of its checks is
+        due: each skipped call would have done nothing.
+
         Mirrored by :meth:`_step_stages_timed`; any stage added or
         reordered here must change there identically.
         """
-        self.fu_pool.new_cycle(cycle)
-        self._complete(cycle)
-        self._commit(cycle)
+        if cycle in self._events or self.frontend._resolved is not None:
+            self._complete(cycle)
+        entries = self.rob._entries
+        if entries and entries[0].completed:
+            self._commit(cycle)
         self._issue(cycle)
         self._dispatch(cycle)
-        self.iq.tick(cycle)
-        if self.iq.wants_flush:
-            self._flush(self.iq.flush_penalty)
-        self._check_invariants(cycle)
+        iq = self.iq
+        iq.tick(cycle)
+        if iq.wants_flush:
+            self._flush(iq.flush_penalty)
+        # The guard layer's gate, inline: a structural check is due, or
+        # the commit-free stretch reached half the watchdog horizon (from
+        # there on the near-stall marker and the watchdog itself apply).
+        horizon = self.watchdog_interval
+        if (
+            self.guards == "full"
+            or not cycle & (GUARD_SAMPLE_PERIOD - 1)
+            or (horizon is not None and cycle - self._last_commit_cycle >= horizon >> 1)
+        ):
+            self._check_invariants(cycle)
 
     def _step_stages_timed(self, cycle: int, profiler: "StageProfiler") -> None:
         """:meth:`_step_stages` with per-stage wall-clock attribution.
@@ -328,21 +468,30 @@ class Pipeline:
         so the six timer reads never sit on the hot path.
         """
         clock = time.perf_counter
-        self.fu_pool.new_cycle(cycle)
         t0 = clock()
-        self._complete(cycle)
+        if cycle in self._events or self.frontend._resolved is not None:
+            self._complete(cycle)
         t1 = clock()
-        self._commit(cycle)
+        entries = self.rob._entries
+        if entries and entries[0].completed:
+            self._commit(cycle)
         t2 = clock()
         self._issue(cycle)
         t3 = clock()
         self._dispatch(cycle)
         t4 = clock()
-        self.iq.tick(cycle)
-        if self.iq.wants_flush:
-            self._flush(self.iq.flush_penalty)
+        iq = self.iq
+        iq.tick(cycle)
+        if iq.wants_flush:
+            self._flush(iq.flush_penalty)
         t5 = clock()
-        self._check_invariants(cycle)
+        horizon = self.watchdog_interval
+        if (
+            self.guards == "full"
+            or not cycle & (GUARD_SAMPLE_PERIOD - 1)
+            or (horizon is not None and cycle - self._last_commit_cycle >= horizon >> 1)
+        ):
+            self._check_invariants(cycle)
         t6 = clock()
         profiler.record("complete", t1 - t0)
         profiler.record("commit", t2 - t1)
@@ -355,7 +504,8 @@ class Pipeline:
     # -- invariant guards ------------------------------------------------------------
 
     def _check_invariants(self, cycle: int) -> None:
-        """Guard layer run at the end of every cycle.
+        """Guard layer, run at the end of a cycle when a check is due
+        (the stage sequences gate the call inline).
 
         The structural checks (ROB occupancy, IQ self-check) catch state
         corruption -- a model bug or an injected fault -- at the cycle it
@@ -367,13 +517,7 @@ class Pipeline:
         terminates livelocked runs) and is a couple of integer compares.
         """
         if self.guards == "full" or not cycle & (GUARD_SAMPLE_PERIOD - 1):
-            if len(self.rob) > self.rob.capacity:
-                raise InvariantViolation(
-                    "rob-occupancy",
-                    f"{len(self.rob)} entries in a {self.rob.capacity}-entry ROB",
-                    cycle=cycle,
-                )
-            self.iq.check_invariants()
+            self._check_structure(cycle)
         if self.watchdog_interval is not None:
             stall = cycle - self._last_commit_cycle
             if stall >= self.watchdog_interval:
@@ -396,6 +540,16 @@ class Pipeline:
                     iq=self.iq.occupancy,
                     iq_ready=len(self.iq.ready),
                 )
+
+    def _check_structure(self, cycle: int) -> None:
+        """The structural half of the guard layer (side-effect free)."""
+        if len(self.rob) > self.rob.capacity:
+            raise InvariantViolation(
+                "rob-occupancy",
+                f"{len(self.rob)} entries in a {self.rob.capacity}-entry ROB",
+                cycle=cycle,
+            )
+        self.iq.check_invariants()
 
     # -- forward-progress watchdog ----------------------------------------------------
 
@@ -552,60 +706,71 @@ class Pipeline:
         if not issued:
             return
         events = self._events
+        stats = self.stats
         for inst in issued:
             inst.issued = True
             inst.issue_cycle = cycle
-            finish = cycle + self._execution_latency(inst, cycle)
+            op = inst.op
+            if op is OpClass.LOAD:
+                stats.loads += 1
+                if inst.forwarded:
+                    stats.store_forwards += 1
+                    finish = cycle + 2  # address generation + LSQ forward
+                else:
+                    # Address generation this cycle, cache access next.
+                    finish = cycle + 1 + self.hierarchy.access_data(
+                        inst.trace.mem_addr, cycle + 1
+                    )
+            elif op is OpClass.STORE:
+                stats.stores += 1
+                # The write itself drains through a write buffer and never
+                # blocks the pipeline, but it does generate cache/DRAM
+                # traffic.
+                self.hierarchy.access_data(
+                    inst.trace.mem_addr, cycle + 1, is_store=True
+                )
+                finish = cycle + 1
+            else:
+                finish = cycle + inst.base_latency
             bucket = events.get(finish)
             if bucket is None:
                 events[finish] = [inst]
             else:
                 bucket.append(inst)
-        self.stats.issued += len(issued)
+        stats.issued += len(issued)
         # Each issued instruction eventually broadcasts its destination tag.
-        self.stats.iq_wakeup_broadcasts += len(issued)
-
-    def _execution_latency(self, inst: DynInst, cycle: int) -> int:
-        op = inst.op
-        if op is OpClass.LOAD:
-            self.stats.loads += 1
-            if inst.forwarded:
-                self.stats.store_forwards += 1
-                return 2  # address generation + LSQ forward
-            # Address generation this cycle, cache access next.
-            return 1 + self.hierarchy.access_data(inst.trace.mem_addr, cycle + 1)
-        if op is OpClass.STORE:
-            self.stats.stores += 1
-            # The write itself drains through a write buffer and never
-            # blocks the pipeline, but it does generate cache/DRAM traffic.
-            self.hierarchy.access_data(inst.trace.mem_addr, cycle + 1, is_store=True)
-            return 1
-        return inst.base_latency
+        stats.iq_wakeup_broadcasts += len(issued)
 
     def _dispatch(self, cycle: int) -> None:
         frontend = self.frontend
+        stats = self.stats
+        if cycle < frontend.resume_cycle:
+            stats.fetch_stall_cycles += 1
+            return
         rob = self.rob
+        rob_entries = rob._entries
+        rob_capacity = rob.capacity
         iq = self.iq
         lsq = self.lsq
         rename = self.rename
-        stats = self.stats
         peek = frontend.peek
         dispatched = 0
         width = self.config.width
         while dispatched < width:
             trace_inst = peek(cycle)
             if trace_inst is None:
-                if dispatched == 0 and frontend.stalled(cycle):
+                # An I-cache miss on this group's first fetch stalls it.
+                if dispatched == 0 and cycle < frontend.resume_cycle:
                     stats.fetch_stall_cycles += 1
                 break
-            if rob.is_full:
+            if len(rob_entries) >= rob_capacity:
                 stats.dispatch_stall_rob += 1
                 break
             if not iq.can_dispatch():
                 stats.dispatch_stall_iq += 1
                 break
             is_mem = trace_inst.mem_addr is not None
-            if is_mem and lsq.is_full:
+            if is_mem and lsq._count >= lsq.capacity:
                 stats.dispatch_stall_lsq += 1
                 break
             inst = DynInst(trace_inst, cycle)

@@ -255,7 +255,7 @@ class WorkerNode:
                         self.cache.put(entry.key, result, job=job)
                     except OSError:
                         self.counters.inc("cache_errors")
-                self._commit(entry, claim, result.to_dict(),
+                self._commit(claim, result.to_dict(),
                              "done" if ok else "failed")
             else:  # ("lost", job_id, job, kind, message)
                 _, _, _, kind, message = event
@@ -274,13 +274,7 @@ class WorkerNode:
                     self.queue.release(claim, crashed=True)
         return bool(events)
 
-    def _commit(
-        self,
-        entry: QueueJob,
-        claim: Claim,
-        result_dict: dict,
-        state: str,
-    ) -> None:
+    def _commit(self, claim: Claim, result_dict: dict, state: str) -> None:
         try:
             outcome = self.queue.commit(claim, result_dict, state=state)
         except FencedWrite:
@@ -295,7 +289,7 @@ class WorkerNode:
         self, entry: QueueJob, claim: Claim, error_type: str, message: str,
         state: str = "failed",
     ) -> None:
-        self._commit(entry, claim, failure_result(
+        self._commit(claim, failure_result(
             entry.job, error_type, message, attempts=claim.crashes), state)
 
     # -- heartbeat / hygiene ----------------------------------------------------------

@@ -43,6 +43,8 @@ class StageProfiler:
     ``sample_every`` is prime by default so sampling never phase-locks
     with the telemetry interval or periodic microarchitectural behaviour
     (a power-of-two stride would always observe the same cycle flavour).
+    Idle cycles that the run loop advances in bulk run no stage, so they
+    are never sampled: the shares describe the cycles that do work.
     """
 
     def __init__(self, sample_every: int = 97) -> None:

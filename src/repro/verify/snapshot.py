@@ -50,7 +50,9 @@ _MAGIC = b"SWQSNAP"
 #: a resumed run keeps its interval alignment).
 #: v3: the pickled pipeline lost the three attributes of the removed
 #: dead-cycle fast-forward engine.
-SNAPSHOT_VERSION = 3
+#: v4: the pickled pipeline gained ``ff_skipped_cycles`` (cycles advanced
+#: in bulk as idle) and its fetch unit a direct handle on the trace list.
+SNAPSHOT_VERSION = 4
 
 #: File suffix convention for snapshot artifacts.
 SNAPSHOT_SUFFIX = ".snap"

@@ -4,6 +4,12 @@ Also the guard layer's own contract: its modes (``full`` / ``sampled`` /
 ``off``) validate and default correctly, sampled guards still catch
 persistent corruption, and the checks are side-effect free, so every
 mode gives bit-identical results for every policy.
+
+The same grid pins the engine's paths to each other: ``run()`` with no
+per-cycle observer advances idle stretches in bulk, a ``step()`` loop
+runs every cycle, and a ``StageProfiler(sample_every=1)`` runs every
+stepped cycle through the timed stage mirror.  All of them must match
+the telemetry-attached runs cycle for cycle.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from repro.config import MEDIUM, SMALL, get_config
 from repro.core.base import GUARD_SAMPLE_PERIOD, InvariantViolation
 from repro.core.factory import IQ_POLICIES, build_issue_queue
 from repro.core.swque import MODE_AGE, MODE_CIRC_PC, SwitchingQueue
-from repro.cpu.pipeline import Pipeline, SimulationDiverged
+from repro.cpu.pipeline import CommitStall, Pipeline, SimulationDiverged
 from repro.cpu.stats import PipelineStats
 from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultSpec, InjectedFault
 from repro.sim.simulator import simulate
-from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry import StageProfiler, Telemetry, TelemetryConfig
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec2017 import get_profile
 
@@ -49,6 +55,55 @@ def guarded_run(policy, workload, guards, n=2500, seed=None, config=MEDIUM):
     Telemetry(TelemetryConfig(interval=500)).attach(pipeline)
     pipeline.run(warmup_instructions=0)
     return pipeline
+
+
+#: The ways to drive one observer-free run (see the module docstring).
+DRIVES = ("run", "step", "profiled")
+
+#: Queues whose select does work every cycle, so no cycle is idle.
+NEVER_IDLE = ("hsw", "oldq")
+
+
+def step_until_done(pipeline):
+    """Drive a pipeline one step() per cycle, as run() would without its
+    bulk advance (no warm-up, no cycle limit)."""
+    while pipeline.rob or pipeline.frontend.has_more():
+        pipeline.step()
+
+
+def driven_run(policy, workload, drive, n=2500, seed=None, config=MEDIUM, **kwargs):
+    """One run with no per-cycle observer, driven the ``drive`` way."""
+    trace = generate_trace(get_profile(workload), n, seed=seed)
+    stats = PipelineStats()
+    iq = build_issue_queue(policy, config, stats=stats, trace=trace)
+    pipeline = Pipeline(trace, config, iq, stats=stats, **kwargs)
+    if drive == "step":
+        step_until_done(pipeline)
+        return pipeline
+    if drive == "profiled":
+        pipeline.profiler = StageProfiler(sample_every=1)
+    pipeline.run(warmup_instructions=0)
+    if drive == "profiled":
+        assert pipeline.profiler.sampled_cycles == pipeline.cycle - pipeline.ff_skipped_cycles
+    return pipeline
+
+
+def assert_same_timing(reference, other):
+    assert other.cycle == reference.cycle
+    assert other.commit_digest.hexdigest() == reference.commit_digest.hexdigest()
+    assert other.stats.as_dict() == reference.stats.as_dict()
+
+
+def assert_drives_match(reference, policy, workload, **kwargs):
+    """Every drive of the run matches ``reference`` (a telemetry-attached
+    run, which steps every cycle), and run() really advanced in bulk."""
+    for drive in DRIVES:
+        driven = driven_run(policy, workload, drive, **kwargs)
+        assert_same_timing(reference, driven)
+        if drive == "step":
+            assert driven.ff_skipped_cycles == 0
+        elif policy not in NEVER_IDLE:
+            assert driven.ff_skipped_cycles > 0
 
 
 def assert_bit_identical(a, b):
@@ -276,10 +331,10 @@ class TestGuardModesBitIdentical:
     @pytest.mark.parametrize("workload", ["exchange2", "nab"])
     @pytest.mark.parametrize("policy", IQ_POLICIES)
     def test_full_matches_sampled(self, policy, workload):
-        assert_bit_identical(
-            guarded_run(policy, workload, "full"),
-            guarded_run(policy, workload, "sampled"),
-        )
+        full = guarded_run(policy, workload, "full")
+        assert_bit_identical(full, guarded_run(policy, workload, "sampled"))
+        assert full.ff_skipped_cycles == 0  # telemetry sees every cycle
+        assert_drives_match(full, policy, workload)
 
     def test_full_matches_sampled_on_small_config(self):
         full = guarded_run("swque", "mcf", "full", config=SMALL)
@@ -300,7 +355,49 @@ class TestGuardModesBitIdentical:
 )
 def test_guard_modes_bit_identical_property(policy, workload, seed):
     """Property form of the contract: any (policy, workload, seed)."""
+    full = guarded_run(policy, workload, "full", n=1500, seed=seed)
     assert_bit_identical(
-        guarded_run(policy, workload, "full", n=1500, seed=seed),
-        guarded_run(policy, workload, "sampled", n=1500, seed=seed),
+        full, guarded_run(policy, workload, "sampled", n=1500, seed=seed)
     )
+    assert_drives_match(full, policy, workload, n=1500, seed=seed)
+
+
+class TestBulkAdvanceStopsAtTheSameCycle:
+    """A run that fails must fail on the same cycle, with the same
+    message, whether idle stretches are advanced in bulk or stepped."""
+
+    def test_watchdog_fires_on_the_same_cycle(self):
+        failures = []
+        for drive in ("run", "step"):
+            with pytest.raises(CommitStall) as excinfo:
+                driven_run("swque", "lbm", drive, n=3000, watchdog_interval=150)
+            failures.append(excinfo.value)
+        bulk, stepped = failures
+        assert str(bulk) == str(stepped)
+        assert bulk.cycles == stepped.cycles
+        assert bulk.stall_cycles == stepped.stall_cycles == 150
+        assert bulk.partial_stats.as_dict() == stepped.partial_stats.as_dict()
+
+    def test_cycle_limit_fires_on_the_same_cycle(self):
+        limit = 4000
+        trace = generate_trace(get_profile("lbm"), 3000)
+        stats = PipelineStats()
+        pipeline = Pipeline(trace, MEDIUM, build_issue_queue(
+            "swque", MEDIUM, stats=stats, trace=trace), stats=stats)
+        with pytest.raises(SimulationDiverged) as excinfo:
+            pipeline.run(max_cycles=limit, warmup_instructions=0)
+        bulk = excinfo.value
+        assert not isinstance(bulk, CommitStall)
+        assert pipeline.ff_skipped_cycles > 0
+        # The same run stepped through every cycle up to the limit.
+        stats = PipelineStats()
+        stepped = Pipeline(trace, MEDIUM, build_issue_queue(
+            "swque", MEDIUM, stats=stats, trace=trace), stats=stats)
+        while stepped.cycle <= limit:
+            stepped.step()
+        assert bulk.cycles == stepped.cycle == limit + 1
+        assert str(bulk) == (
+            f"no convergence after {stepped.cycle} cycles "
+            f"(committed {stepped.stats.committed}/{len(trace)})"
+        )
+        assert bulk.partial_stats.as_dict() == stepped.stats.as_dict()

@@ -137,13 +137,16 @@ class TestCorruptionDetection:
             load_snapshot(snap_path)
 
     def test_v2_snapshot_is_rejected_with_a_clear_error(self, snap_path):
-        # v2 pickles carried the removed fast-forward engine's state; the
-        # header gate refuses them before anything is unpickled.
-        assert SNAPSHOT_VERSION == 3
-        self.restamp(snap_path, 2)
-        with pytest.raises(SnapshotVersionError,
-                           match="version 2 is not supported.*re-record"):
-            load_snapshot(snap_path)
+        # v2 pickles carried the removed fast-forward engine's state and
+        # v3 pickles lack the bulk-advance counter and the fetch unit's
+        # trace-list handle; the header gate refuses both before anything
+        # is unpickled.
+        assert SNAPSHOT_VERSION == 4
+        for old in (2, 3):
+            self.restamp(snap_path, old)
+            with pytest.raises(SnapshotVersionError,
+                               match=f"version {old} is not supported.*re-record"):
+                load_snapshot(snap_path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
