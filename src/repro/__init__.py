@@ -17,8 +17,8 @@ Public surface:
 * :mod:`repro.workloads` -- the SPEC2017-like synthetic workload suite.
 * :mod:`repro.power` -- energy / area / delay models for the IQ circuits.
 * :mod:`repro.sim.experiments` -- one function per paper figure and table.
-* :mod:`repro.verify` -- golden-model lockstep validation, checksummed
-  state snapshots with bit-identical resume, and failure replay.
+* :mod:`repro.verify` -- golden-model lockstep validation and failure
+  replay: a failed job reruns from its spec with per-cycle tracing.
 * :mod:`repro.telemetry` -- interval time series, structured event
   tracing with Chrome/Perfetto export, and simulator-throughput
   profiling.
@@ -34,22 +34,12 @@ from repro.sim.results import FailedResult, SimResult, geomean, speedup
 from repro.sim.simulator import simulate
 from repro.sim.harness import SweepJob, SweepReport, make_grid, run_sweep
 from repro.telemetry import Telemetry, TelemetryConfig, export_run
-from repro.verify import (
-    ArchitecturalMismatch,
-    GoldenModel,
-    Snapshot,
-    load_snapshot,
-    replay,
-    write_snapshot,
-)
+from repro.verify import ArchitecturalMismatch, GoldenModel, replay
 
 __all__ = [
     "ArchitecturalMismatch",
     "GoldenModel",
-    "Snapshot",
-    "load_snapshot",
     "replay",
-    "write_snapshot",
     "LARGE",
     "MEDIUM",
     "ProcessorConfig",

@@ -8,8 +8,8 @@ Examples::
     python -m repro experiment fig8 --instructions 40000
     python -m repro trace --workload int --policy swque --out-dir telemetry/
     python -m repro sweep --policies age swque --timeout 600 --retries 2 \\
-        --cache-dir .sweep-cache --snapshot-failures snaps/
-    python -m repro replay snaps/mcf-swque-medium-c12000-failed.snap
+        --cache-dir .sweep-cache
+    python -m repro replay '{"workload": "mcf", "policy": "swque"}' --from-cycle 12000
     python -m repro serve --port 8642 --workers 4 --cache-dir .repro-cache
     python -m repro list
 """
@@ -146,10 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "finishes, so re-running a killed sweep resumes "
                             "it; failed cells run again (same store as "
                             "'serve --cache-dir'; default: no cache)")
-    sweep.add_argument("--snapshot-failures", default=None, metavar="DIR",
-                       help="write a pre-crash simulator snapshot for every "
-                            "failed cell into DIR (replay with "
-                            "'python -m repro replay')")
     sweep.add_argument("--telemetry-dir", default=None, metavar="DIR",
                        help="run every cell with interval telemetry and "
                             "export per-cell timeline/events/Chrome-trace "
@@ -157,17 +153,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay",
-        help="restore a failure snapshot and re-run it with per-cycle tracing",
+        help="rerun a job spec (a failed sweep cell prints its own) from "
+             "cycle 0 with the golden model and per-cycle tracing",
     )
-    replay.add_argument("snapshot", help="path to a .snap file")
+    replay.add_argument("spec",
+                        help="job spec: inline JSON or a path to a JSON file "
+                             "(job fields plus an optional \"fault\" object)")
+    replay.add_argument("--from-cycle", type=int, default=0, metavar="CYCLE",
+                        help="run silently up to this cycle, then trace "
+                             "(default 0)")
     replay.add_argument("--cycles", type=int, default=None,
-                        help="stop after this many replayed cycles "
+                        help="stop after this many traced cycles "
                              "(default: run to completion or failure)")
     replay.add_argument("--no-trace", action="store_true",
                         help="suppress the per-cycle trace, print only the "
                              "outcome")
     replay.add_argument("--export-trace", default=None, metavar="DIR",
-                        help="export the replay window's telemetry "
+                        help="export the rerun's telemetry "
                              "(timeline/events JSONL + Chrome trace) into DIR")
     replay.add_argument("--telemetry-interval", type=int, default=None,
                         metavar="CYCLES",
@@ -348,47 +350,53 @@ def main(argv=None) -> int:
             print(f"  {kind:>8}: {path}")
         return 0
     if args.command == "replay":
+        from pathlib import Path
+
+        from repro.sim.harness import job_from_spec
         from repro.verify.replay import (
             DEFAULT_REPLAY_TELEMETRY_INTERVAL,
             replay as run_replay,
         )
-        from repro.verify.snapshot import SnapshotError, load_snapshot
 
         try:
-            snapshot = load_snapshot(args.snapshot)
-        except SnapshotError as exc:
+            text = args.spec
+            if not text.lstrip().startswith("{"):
+                text = Path(text).read_text()
+            job = job_from_spec(json.loads(text))
+        except KeyError as exc:
+            print(f"error: job spec is missing field {exc}", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
+            print(f"error: bad job spec: {exc}", file=sys.stderr)
+            return 2
+        try:
+            outcome = run_replay(
+                job,
+                cycles=args.cycles,
+                from_cycle=args.from_cycle,
+                trace=not args.no_trace,
+                telemetry_interval=(
+                    args.telemetry_interval
+                    if args.telemetry_interval is not None
+                    else DEFAULT_REPLAY_TELEMETRY_INTERVAL
+                ),
+            )
+        except ValueError as exc:  # a bad budget in the spec or the flags
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.no_trace:  # replay() prints the header itself when tracing
-            print(snapshot.meta.summary())
-        outcome = run_replay(
-            snapshot,
-            cycles=args.cycles,
-            trace=not args.no_trace,
-            telemetry_interval=(
-                args.telemetry_interval
-                if args.telemetry_interval is not None
-                else DEFAULT_REPLAY_TELEMETRY_INTERVAL
-            ),
-        )
         print(outcome.summary())
         if args.export_trace and outcome.telemetry is not None:
-            from pathlib import Path
-
             from repro.telemetry import export_run
 
-            stem = Path(args.snapshot).name
-            if stem.endswith(".snap"):
-                stem = stem[: -len(".snap")]
             paths = export_run(
                 outcome.telemetry,
                 args.export_trace,
-                f"{stem}-replay",
+                f"{job.workload_name}-{job.policy}-{job.config.name}-replay",
                 meta={
-                    "snapshot": str(args.snapshot),
-                    "workload": snapshot.meta.workload,
-                    "policy": snapshot.meta.policy,
-                    "config": snapshot.meta.config,
+                    "key": job.key,
+                    "workload": job.workload_name,
+                    "policy": job.policy,
+                    "config": job.config.name,
                     "status": outcome.status,
                 },
             )
@@ -450,7 +458,6 @@ def main(argv=None) -> int:
                 retries=args.retries,
                 backoff=args.backoff,
                 cache_dir=args.cache_dir,
-                snapshot_failures=args.snapshot_failures,
                 telemetry_dir=args.telemetry_dir,
                 on_result=on_result,
                 on_retry=on_retry,

@@ -53,7 +53,8 @@ class HierarchicalQueue(IssueQueue):
         self._fast: List[DynInst] = []
         #: Ready slow-queue instructions become issuable only after the
         #: slow scheduling loop: seq -> earliest_issue_cycle.  Keyed by
-        #: ``seq`` (stable across snapshot/restore), never ``id()``.
+        #: ``seq`` (unique in the run), never ``id()`` (reused once an
+        #: instruction is freed).
         self._slow_ready_at: dict = {}
         self.moves = 0
 

@@ -22,7 +22,7 @@ one-cycle minimum IQ residency of real wakeup-select loops.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.config import ProcessorConfig
 from repro.core.base import (
@@ -175,16 +175,11 @@ class Pipeline:
         # Guard state: sequence number of the last committed instruction.
         self._last_commit_seq = -1
         #: Caller-attached run identity (workload/policy/seed), recorded in
-        #: snapshots and results for provenance.  Set by ``simulate``.
+        #: results for provenance.  Set by ``simulate``.
         self.run_provenance: Dict[str, object] = {}
-        # Periodic-snapshot hook: every ``snapshot_interval`` cycles the
-        # sink is called with the pipeline at a clean cycle boundary.
-        self.snapshot_interval: Optional[int] = None
-        self.snapshot_sink: Optional[Callable[["Pipeline"], None]] = None
-        self._next_snapshot_cycle = 0
-        # Run-loop state lives on the pipeline (not in run() locals) so a
-        # snapshotted run resumes with the same cycle limit and warmup
-        # bookkeeping as the uninterrupted one.
+        # Run parameters, fixed by start(): the bulk advance reads the
+        # cycle limit, and a caller that drives step() itself (replay)
+        # reads both the limit and the warmup bookkeeping.
         self._run_started = False
         self._run_limit = 0
         self._warm_pending = False
@@ -192,21 +187,6 @@ class Pipeline:
         #: Cycles :meth:`run` advanced in bulk as idle (see
         #: :meth:`_advance_idle`); they are simulated cycles all the same.
         self.ff_skipped_cycles = 0
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The snapshot sink is typically a closure (not picklable) and a
-        # restored run should not silently re-write snapshot files; both
-        # it and the cadence are re-armed explicitly after a restore.
-        # The stage profiler measures *this host's* wall clock — its
-        # partial sums are meaningless in another process, so it is
-        # dropped too.  Telemetry, by contrast, is simulated-time data
-        # and travels with the snapshot: a resumed run keeps sampling on
-        # the same interval boundaries.
-        state = self.__dict__.copy()
-        state["snapshot_sink"] = None
-        state["snapshot_interval"] = None
-        state["profiler"] = None
-        return state
 
     # -- top level ----------------------------------------------------------------
 
@@ -227,10 +207,24 @@ class Pipeline:
         warm-predictor steady state (the paper skips 16B instructions for
         the same reason).
         """
+        self.start(max_cycles, warmup_instructions)
+        return self._run_loop()
+
+    def start(
+        self,
+        max_cycles: Optional[int] = None,
+        warmup_instructions: int = 0,
+    ) -> None:
+        """Fix the run's divergence limit and warmup (see :meth:`run`).
+
+        :meth:`run` calls it; a caller that drives :meth:`step` itself
+        calls it first and then applies :meth:`end_warmup` after every
+        cycle, as :meth:`run` does.
+        """
         if self._run_started:
             raise RuntimeError(
-                "this pipeline's run already started; use resume() to "
-                "continue it (run parameters are fixed at the first call)"
+                "this pipeline's run already started (run parameters are "
+                "fixed at the first call)"
             )
         self._run_limit = (
             max_cycles if max_cycles is not None else 120 * len(self.trace) + 50_000
@@ -238,18 +232,15 @@ class Pipeline:
         self._warm_pending = 0 < warmup_instructions < len(self.trace)
         self._warmup_target = warmup_instructions
         self._run_started = True
-        return self._run_loop()
 
-    def resume(self) -> PipelineStats:
-        """Continue an interrupted (snapshotted) run to completion.
-
-        Picks up the cycle limit and warmup bookkeeping captured when the
-        run started, so restore -> resume is bit-identical to never having
-        stopped.
-        """
-        if not self._run_started:
-            raise RuntimeError("nothing to resume; call run() first")
-        return self._run_loop()
+    def end_warmup(self) -> bool:
+        """Reset the counters once the warmup has committed; True on the
+        cycle that resets.  :meth:`run`'s loop does the same inline."""
+        if self._warm_pending and self.stats.committed >= self._warmup_target:
+            self.stats.reset()
+            self._warm_pending = False
+            return True
+        return False
 
     def _run_loop(self) -> PipelineStats:
         rob_entries = self.rob._entries
@@ -261,11 +252,7 @@ class Pipeline:
         # them the loop runs the stage sequence directly and advances
         # idle stretches in bulk; the oracle only sees commits and the
         # profiler only samples, so neither needs every cycle.
-        every_cycle = (
-            self.faults is not None
-            or self.telemetry is not None
-            or self.snapshot_sink is not None
-        )
+        every_cycle = self.faults is not None or self.telemetry is not None
         stepped = every_cycle or self.profiler is not None
         try:
             while rob_entries or frontend.fetch_seq < trace_len:
@@ -294,8 +281,7 @@ class Pipeline:
                     stats.reset()
                     self._warm_pending = False
             if self.telemetry is not None:
-                # Flush the final partial interval (idempotent, so a
-                # finished-then-snapshotted run resumes harmlessly).
+                # Flush the final partial interval.
                 self.telemetry.finish(self.cycle)
             if self.oracle is not None:
                 self.oracle.check_final(stats.committed)
@@ -415,18 +401,8 @@ class Pipeline:
             self._step_stages(cycle)
         self.cycle += 1
         self.stats.cycles += 1
-        # Telemetry samples the finished cycle BEFORE any snapshot is
-        # taken: the pickled sampler state must already account for this
-        # cycle, or a resumed run would drop exactly one occupancy
-        # sample and its time series would not be bit-identical.
         if self.telemetry is not None:
             self.telemetry.on_cycle(self.cycle, self.iq.occupancy)
-        if (
-            self.snapshot_sink is not None
-            and self.cycle >= self._next_snapshot_cycle
-        ):
-            self._next_snapshot_cycle = self.cycle + (self.snapshot_interval or 1)
-            self.snapshot_sink(self)
 
     def _step_stages(self, cycle: int) -> None:
         """The per-cycle stage sequence (the hot path).
@@ -689,7 +665,7 @@ class Pipeline:
             # can never be unwound, but the prev_writer/consumers links
             # would otherwise chain every DynInst of the run into one
             # unboundedly deep, unboundedly large object graph (a memory
-            # leak, and a recursion bomb for snapshot serialization).
+            # leak).
             head.prev_writer = None
             head.consumers = []
             committed += 1

@@ -12,7 +12,8 @@ worker node claims, runs and commits — composed by
   writes, so a failing store costs cache entries, never results.
 * :mod:`repro.service.scheduler` — front-door admission control
   (per-tenant token-bucket quotas, priority-aware shedding, backlog
-  backpressure) and the job wire format.
+  backpressure).  The job wire format (``job_to_dict``/``job_from_dict``)
+  lives beside :class:`~repro.sim.harness.SweepJob` and is re-exported here.
 * :mod:`repro.service.queue` — a durable job queue over a directory,
   with lease files, monotonic fencing epochs, and exactly-once result
   commitment, so N stateless frontends and N worker nodes survive
@@ -44,11 +45,10 @@ from repro.service.scheduler import (
     SchedulerClosed,
     TokenBucket,
     UnknownJob,
-    job_from_dict,
-    job_to_dict,
 )
 from repro.service.server import ReproService
 from repro.service.supervisor import ProcessWorkerPool
+from repro.sim.harness import job_from_dict, job_to_dict
 
 __all__ = [
     "Admission",

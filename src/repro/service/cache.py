@@ -12,8 +12,11 @@ by *content*, never by name:
   own fixed seed before keying, so explicit-default and default submits
   share an entry),
 * the instruction/cycle/warmup budgets and IQ policy,
-* and ``repro.__version__`` — any release invalidates every prior entry,
-  because a simulator change can change every number.
+* ``repro.__version__`` — any release invalidates every prior entry,
+* and :func:`model_digest`, a hash of the simulator sources that decide
+  a result — any edit to the model invalidates every prior entry too,
+  version bump or not, because a simulator change can change every
+  number.
 
 Entries are single JSON files written atomically (temp file + rename),
 so a crashed writer can never leave a half-entry behind; a truncated or
@@ -40,7 +43,6 @@ from repro.config import config_digest
 from repro.sim.harness import CellResult, SweepJob
 from repro.sim.results import SimResult, result_from_dict
 from repro.telemetry.metrics import CounterSet
-from repro.verify.snapshot import write_bytes_atomic
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2017 import get_profile
 
@@ -56,8 +58,47 @@ ENTRY_SUFFIX = ".result.json"
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 
+#: The sources that decide a result, relative to the package root: a
+#: file, or a directory whose ``*.py`` files all count.
+MODEL_SOURCES = ("cpu", "core", "memory", "workloads", "config.py",
+                 "sim/simulator.py")
+
+
 class UncacheableJob(ValueError):
     """The job cannot be content-addressed (ad-hoc trace, fault injection)."""
+
+
+@functools.lru_cache(maxsize=1)
+def model_digest() -> str:
+    """sha256 over the simulator sources (:data:`MODEL_SOURCES`), read
+    once per process: an edit to the model changes every cache key."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for source in MODEL_SOURCES:
+        path = root / source
+        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for file in files:
+            digest.update(file.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def write_bytes_atomic(data: bytes, path: Union[str, Path]) -> Path:
+    """Write ``data`` to ``path`` via temp file + atomic rename."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # pragma: no cover - only on a failed replace
+            tmp.unlink()
+    return path
 
 
 @functools.lru_cache(maxsize=64)
@@ -75,7 +116,7 @@ def cache_key(job: SweepJob, version: str = __version__) -> str:
 
     Two jobs share a key iff they are guaranteed to produce the same
     :class:`~repro.sim.results.SimResult` under the same package
-    version.  Raises :class:`UncacheableJob` for jobs whose inputs are
+    version and simulator sources.  Raises :class:`UncacheableJob` for jobs whose inputs are
     not content-addressable: pre-built traces (no profile to digest) and
     fault-injected runs (chaos is not a reusable outcome).
     """
@@ -98,6 +139,7 @@ def cache_key(job: SweepJob, version: str = __version__) -> str:
         for part in (
             "swque-result",
             version,
+            model_digest(),
             config_digest(job.config),
             _profile_digest(workload),
             job.policy,

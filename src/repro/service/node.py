@@ -60,8 +60,8 @@ from repro.service.queue import (
     QueueJob,
     failure_result,
 )
-from repro.service.scheduler import job_from_dict
 from repro.service.supervisor import ProcessWorkerPool
+from repro.sim.harness import job_from_dict
 from repro.sim.results import SimResult
 from repro.telemetry.metrics import CounterSet
 

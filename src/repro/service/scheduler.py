@@ -1,4 +1,4 @@
-"""Admission control and the job wire format.
+"""Admission control: quotas, shedding and backpressure.
 
 The paper treats the issue queue as a resource worth explicit priority
 policy; this module applies the same discipline to the service's own
@@ -30,8 +30,6 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.config import get_config
-from repro.sim.harness import SweepJob
 from repro.telemetry.metrics import CounterSet
 
 #: Terminal job states (the only states carrying a result).
@@ -101,61 +99,6 @@ class TokenBucket:
             self._tokens -= 1.0
             return 0.0
         return (1.0 - self._tokens) / self.rate
-
-
-def job_to_dict(job: SweepJob, priority: int = 0, tenant: str = "default") -> dict:
-    """Wire form of a job: named workload + named config only."""
-    return {
-        "workload": job.workload_name,
-        "policy": job.policy,
-        "config": job.config.name,
-        "num_instructions": job.num_instructions,
-        "seed": job.seed,
-        "max_cycles": job.max_cycles,
-        "warmup_instructions": job.warmup_instructions,
-        "priority": priority,
-        "tenant": tenant,
-    }
-
-
-def job_from_dict(data: dict) -> SweepJob:
-    """Rebuild a :class:`SweepJob` from :func:`job_to_dict` output.
-
-    Raises ``ValueError``/``KeyError`` for malformed payloads; the
-    HTTP layer maps these to 400.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("job payload must be a JSON object")
-    workload = data["workload"]
-    if not isinstance(workload, str):
-        raise ValueError("workload must be a profile name")
-    from repro.core.factory import IQ_POLICIES
-    from repro.workloads.spec2017 import SPEC2017_PROFILES
-
-    if workload not in SPEC2017_PROFILES:
-        raise ValueError(
-            f"unknown workload {workload!r}; "
-            f"available: {sorted(SPEC2017_PROFILES)}"
-        )
-    policy = data.get("policy")
-    if policy not in IQ_POLICIES:
-        raise ValueError(
-            f"unknown IQ policy {policy!r}; choose from {IQ_POLICIES}"
-        )
-    for budget in ("num_instructions", "seed", "max_cycles",
-                   "warmup_instructions"):
-        value = data.get(budget)
-        if value is not None and not isinstance(value, int):
-            raise ValueError(f"{budget} must be an integer (or null)")
-    return SweepJob(
-        workload=workload,
-        policy=data["policy"],
-        config=get_config(data.get("config") or "medium"),
-        num_instructions=data.get("num_instructions") or 30_000,
-        seed=data.get("seed"),
-        max_cycles=data.get("max_cycles"),
-        warmup_instructions=data.get("warmup_instructions"),
-    )
 
 
 class Admission:

@@ -56,9 +56,8 @@ from repro.service.scheduler import (
     SchedulerClosed,
     TERMINAL_STATES,
     UnknownJob,
-    job_from_dict,
-    job_to_dict,
 )
+from repro.sim.harness import job_from_dict, job_to_dict
 from repro.telemetry.metrics import CounterSet
 
 #: Largest accepted request body; a job spec is a few hundred bytes.

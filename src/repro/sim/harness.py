@@ -43,11 +43,11 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.config import MEDIUM, ProcessorConfig
+from repro.config import CONFIGS, MEDIUM, ProcessorConfig, get_config
 from repro.core.factory import IQ_POLICIES
 from repro.sim.faults import FaultSpec
 from repro.sim.results import FailedResult, SimResult, result_from_dict
@@ -102,7 +102,8 @@ class SweepJob:
         cycle cap and warmup appear only when set, so default keys (and
         the telemetry file names derived from them) stay short.  Resume
         joins on the content address (:func:`repro.service.cache.cache_key`)
-        instead, which also covers config and package version."""
+        instead, which also covers config, package version and model
+        sources."""
         key = (
             f"{self.workload_name}|{self.policy}|{self.config.name}"
             f"|n={self.num_instructions}|seed={self.seed}"
@@ -112,6 +113,99 @@ class SweepJob:
         if self.warmup_instructions is not None:
             key += f"|warmup={self.warmup_instructions}"
         return key
+
+
+def job_to_dict(job: SweepJob, priority: int = 0, tenant: str = "default") -> dict:
+    """Wire form of a job: named workload + named config only."""
+    return {
+        "workload": job.workload_name,
+        "policy": job.policy,
+        "config": job.config.name,
+        "num_instructions": job.num_instructions,
+        "seed": job.seed,
+        "max_cycles": job.max_cycles,
+        "warmup_instructions": job.warmup_instructions,
+        "priority": priority,
+        "tenant": tenant,
+    }
+
+
+def job_from_dict(data: dict) -> SweepJob:
+    """Rebuild a :class:`SweepJob` from :func:`job_to_dict` output.
+
+    Raises ``ValueError``/``KeyError`` for malformed payloads; the
+    HTTP layer maps these to 400.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("job payload must be a JSON object")
+    workload = data["workload"]
+    if not isinstance(workload, str):
+        raise ValueError("workload must be a profile name")
+    from repro.workloads.spec2017 import SPEC2017_PROFILES
+
+    if workload not in SPEC2017_PROFILES:
+        raise ValueError(
+            f"unknown workload {workload!r}; "
+            f"available: {sorted(SPEC2017_PROFILES)}"
+        )
+    policy = data.get("policy")
+    if policy not in IQ_POLICIES:
+        raise ValueError(
+            f"unknown IQ policy {policy!r}; choose from {IQ_POLICIES}"
+        )
+    for budget in ("num_instructions", "seed", "max_cycles",
+                   "warmup_instructions"):
+        value = data.get(budget)
+        if value is not None and not isinstance(value, int):
+            raise ValueError(f"{budget} must be an integer (or null)")
+    return SweepJob(
+        workload=workload,
+        policy=data["policy"],
+        config=get_config(data.get("config") or "medium"),
+        num_instructions=data.get("num_instructions") or DEFAULT_INSTRUCTIONS,
+        seed=data.get("seed"),
+        max_cycles=data.get("max_cycles"),
+        warmup_instructions=data.get("warmup_instructions"),
+    )
+
+
+def job_spec(job: SweepJob) -> Optional[dict]:
+    """The spec that reruns ``job``: its :func:`job_to_dict` run fields,
+    plus its fault's :class:`FaultSpec` fields under ``"fault"``.
+
+    None when names cannot rebuild the job: a pre-built trace, or a
+    profile or config that differs from the one registered under its
+    name.  :func:`repro.verify.replay` takes the spec.
+    """
+    from repro.workloads.spec2017 import SPEC2017_PROFILES
+
+    if not isinstance(job.workload, str) and (
+        SPEC2017_PROFILES.get(job.workload_name) != job.workload
+    ):
+        return None
+    if CONFIGS.get(job.config.name) != job.config:
+        return None
+    spec = job_to_dict(job)
+    del spec["priority"], spec["tenant"]
+    if job.fault is not None:
+        spec["fault"] = asdict(job.fault)
+    return spec
+
+
+def job_from_spec(spec: dict) -> SweepJob:
+    """Inverse of :func:`job_spec`.  Checks outside input like
+    :func:`job_from_dict`: a ``ValueError`` (``KeyError`` for a missing
+    workload) that names the bad field."""
+    job = job_from_dict(spec)
+    fault = spec.get("fault")
+    if fault is None:
+        return job
+    if not isinstance(fault, dict):
+        raise ValueError("fault must be an object of FaultSpec fields")
+    try:
+        return replace(job, fault=FaultSpec(**fault))
+    except TypeError as exc:
+        raise ValueError(f"fault: {exc}") from None
 
 
 def make_grid(
@@ -174,16 +268,13 @@ def _sanitize_key(key: str) -> str:
 def _run_job(
     job: SweepJob,
     _trace_cache: Optional[dict] = None,
-    snapshot_dir: Optional[Path] = None,
     telemetry_dir: Optional[Path] = None,
 ) -> SimResult:
     """Execute one cell (in the caller's process); may raise.
 
-    ``snapshot_dir`` arms the simulator's pre-crash snapshot: a failing
-    run leaves a replayable state capture behind and attaches its path
-    to the exception.  ``telemetry_dir`` runs the cell with interval
-    telemetry enabled and exports the per-cell artifacts (timeline/
-    events JSONL + Chrome trace) there, named after the job key.
+    ``telemetry_dir`` runs the cell with interval telemetry enabled and
+    exports the per-cell artifacts (timeline/events JSONL + Chrome
+    trace) there, named after the job key.
     """
     workload = job.workload
     if _trace_cache is not None and isinstance(workload, str):
@@ -207,7 +298,6 @@ def _run_job(
         max_cycles=job.max_cycles,
         warmup_instructions=job.warmup_instructions,
         faults=job.fault,
-        failure_snapshot_dir=snapshot_dir,
         telemetry=telemetry_dir is not None,
     )
     if telemetry_dir is not None and result.telemetry is not None:
@@ -245,7 +335,6 @@ def _failure(job: SweepJob, exc: BaseException, attempts: int) -> FailedResult:
         attempts=attempts,
         cycles=int(cycles),
         partial_stats=getattr(exc, "partial_stats", None),
-        snapshot_path=getattr(exc, "snapshot_path", None),
     )
 
 
@@ -377,7 +466,6 @@ def run_sweep(
     backoff: float = 0.5,
     cache_dir: Optional[Union[str, Path]] = None,
     fail_fast: bool = False,
-    snapshot_failures: Optional[Union[str, Path]] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
     on_result: Optional[Callable[[SweepJob, CellResult], None]] = None,
     on_retry: Optional[Callable[[SweepJob, int, str], None]] = None,
@@ -407,11 +495,10 @@ def run_sweep(
     that cannot be content-addressed (a pre-built trace, or fault
     injection).
 
-    ``snapshot_failures=<dir>`` arms pre-crash state capture: a cell
-    whose run dies leaves a checksummed snapshot of the simulator state
-    shortly before the failure in that directory, its path recorded on
-    the :class:`~repro.sim.results.FailedResult` — replay it with
-    ``python -m repro replay <path>``.
+    Each failed cell carries its rerun spec on
+    :attr:`FailedResult.job <repro.sim.results.FailedResult.job>` (see
+    :func:`job_spec`; None for a pre-built trace): ``python -m repro
+    replay`` reruns it with per-cycle tracing.
 
     ``telemetry_dir=<dir>`` runs every executed cell with interval
     telemetry and exports per-cell artifacts (``<key>.timeline.jsonl``,
@@ -442,7 +529,6 @@ def run_sweep(
     if _job_runner is _run_job:
         _job_runner = functools.partial(
             _run_job,
-            snapshot_dir=None if snapshot_failures is None else Path(snapshot_failures),
             telemetry_dir=None if telemetry_dir is None else Path(telemetry_dir),
         )
 
@@ -473,6 +559,8 @@ def run_sweep(
             on_retry(job, next_attempt, error_type)
 
     def finish(job: SweepJob, result: CellResult) -> None:
+        if isinstance(result, FailedResult):
+            result.job = job_spec(job)
         done[job.key] = result
         report.executed += 1
         if job.key in cache_keys:

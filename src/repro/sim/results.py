@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import shlex
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
@@ -147,10 +149,10 @@ class FailedResult:
     attempts: int = 1
     cycles: int = 0
     partial_stats: Optional[PipelineStats] = None
-    #: Path of the pre-failure state snapshot, when the run was captured
-    #: (``snapshot_failures``/``failure_snapshot_dir``); replay it with
-    #: ``python -m repro replay <path>``.
-    snapshot_path: Optional[str] = None
+    #: The spec that reruns the cell (:func:`repro.sim.harness.job_spec`),
+    #: set by the sweep harness; None for a pre-built trace, which no spec
+    #: can name.  ``python -m repro replay`` takes it.
+    job: Optional[dict] = None
 
     #: Sweep-harness cell status (mirrors :attr:`SimResult.ok`).
     ok = False
@@ -167,8 +169,9 @@ class FailedResult:
         )
         if self.cycles:
             line += f" at cycle {self.cycles}"
-        if self.snapshot_path:
-            line += f"  (replay: python -m repro replay {self.snapshot_path})"
+        if self.job is not None:
+            spec = json.dumps(self.job, sort_keys=True, separators=(",", ":"))
+            line += f"  (replay: python -m repro replay {shlex.quote(spec)})"
         return line
 
     def to_dict(self) -> dict:
@@ -189,7 +192,7 @@ class FailedResult:
                 if self.partial_stats is not None
                 else None
             ),
-            "snapshot_path": self.snapshot_path,
+            "job": self.job,
         }
 
     @classmethod
@@ -207,7 +210,7 @@ class FailedResult:
             partial_stats=(
                 stats_from_dict(data["stats"]) if data.get("stats") else None
             ),
-            snapshot_path=data.get("snapshot_path"),
+            job=data.get("job"),
         )
 
 

@@ -8,17 +8,13 @@ configuration into a pipeline and runs it to completion:
     >>> result.ipc > 0
     True
 
-Robustness hooks (all off by default):
-
-* ``verify=True`` attaches the golden reference model
-  (:class:`repro.verify.GoldenModel`), cross-checking every committed
-  instruction against the trace's architectural semantics in lockstep.
-* ``snapshot_dir``/``snapshot_interval`` write periodic checksummed
-  state snapshots a run can be resumed from bit-identically.
-* ``failure_snapshot_dir`` keeps a rolling pre-crash snapshot in memory
-  and writes it only when the run dies, attaching its path to the
-  exception (``exc.snapshot_path``) — every failure becomes replayable
-  via ``python -m repro replay``.
+``verify=True`` attaches the golden reference model
+(:class:`repro.verify.GoldenModel`), cross-checking every committed
+instruction against the trace's architectural semantics in lockstep.
+A run is deterministic in its inputs, so a failing run reproduces by
+running the same inputs again: :func:`repro.verify.replay` builds its
+pipeline through :func:`build_pipeline`, the same code ``simulate``
+uses, and steps it with per-cycle tracing.
 
 Every result records its provenance: the effective workload seed (even
 when the caller passed none), a content hash of the full processor
@@ -28,8 +24,7 @@ digest.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.config import MEDIUM, ProcessorConfig, config_digest
@@ -40,24 +35,14 @@ from repro.cpu.stats import PipelineStats
 from repro.cpu.trace import Trace
 from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.results import SimResult
-from repro.telemetry.events import EV_SNAPSHOT
 from repro.telemetry.probes import Telemetry, TelemetryConfig, resolve_telemetry
 from repro.verify.oracle import GoldenModel
-from repro.verify.snapshot import (
-    SNAPSHOT_SUFFIX,
-    snapshot_bytes,
-    write_bytes_atomic,
-    write_snapshot,
-)
 from repro.workloads.generator import generate_trace
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2017 import get_profile
 
 #: Default trace length: long enough for several SWQUE switch intervals.
 DEFAULT_INSTRUCTIONS = 30_000
-
-#: Default cadence of periodic/rolling snapshots, in cycles.
-DEFAULT_SNAPSHOT_INTERVAL = 5_000
 
 WorkloadLike = Union[str, WorkloadProfile, Trace]
 
@@ -93,12 +78,7 @@ def _effective_seed(workload: WorkloadLike, seed: Optional[int]) -> Optional[int
 
 
 def result_from_pipeline(pipeline: Pipeline) -> SimResult:
-    """Package a finished pipeline into a :class:`SimResult`.
-
-    Used by :func:`simulate` and by snapshot resume
-    (:func:`repro.verify.snapshot.resume_to_result`), so an interrupted
-    run continues into the *same* result shape, provenance included.
-    """
+    """Package a finished pipeline into a :class:`SimResult`."""
     provenance = pipeline.run_provenance or {}
     stats = pipeline.stats
     mode_fractions = {}
@@ -122,7 +102,7 @@ def result_from_pipeline(pipeline: Pipeline) -> SimResult:
     )
 
 
-def simulate(
+def build_pipeline(
     workload: WorkloadLike,
     policy: str = "age",
     config: ProcessorConfig = MEDIUM,
@@ -133,39 +113,13 @@ def simulate(
     faults: Optional[Union[FaultInjector, FaultSpec]] = None,
     verify: bool = False,
     watchdog_interval: Optional[int] = DEFAULT_WATCHDOG_INTERVAL,
-    snapshot_interval: Optional[int] = None,
-    snapshot_dir: Optional[Union[str, Path]] = None,
-    failure_snapshot_dir: Optional[Union[str, Path]] = None,
     telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
-) -> SimResult:
-    """Run one workload under one IQ policy and return the result.
+) -> Tuple[Pipeline, int]:
+    """Check a run's inputs and build its pipeline, ready to run.
 
-    ``workload`` may be a benchmark name (see
-    :data:`repro.workloads.SPEC2017_PROFILES`), a
-    :class:`~repro.workloads.profile.WorkloadProfile`, or a pre-built
-    :class:`~repro.cpu.trace.Trace` (in which case ``num_instructions``
-    and ``seed`` are ignored).
-
-    ``warmup_instructions`` (default: a quarter of the trace) are executed
-    to warm caches and predictors before measurement starts, mirroring the
-    paper's 16B-instruction skip.  Pass 0 to measure from a cold machine.
-
-    ``faults`` injects one chaos fault (see :mod:`repro.sim.faults`) —
-    used by the robustness tests and the sweep harness's failure drills.
-
-    ``verify`` runs the golden reference model in lockstep;
-    ``watchdog_interval`` bounds how many cycles may pass without a
-    commit before :class:`~repro.cpu.pipeline.CommitStall` fires (None
-    disables the watchdog); ``snapshot_dir`` writes a snapshot every
-    ``snapshot_interval`` cycles; ``failure_snapshot_dir`` writes a
-    pre-crash snapshot only when the run fails (see module docstring).
-
-    ``telemetry`` enables the observability subsystem
-    (:mod:`repro.telemetry`): pass ``True`` for the default interval
-    sampler, a :class:`~repro.telemetry.TelemetryConfig` to tune it, or
-    a prepared :class:`~repro.telemetry.Telemetry` sink.  The sink comes
-    back on ``result.telemetry`` (and on ``exc.telemetry`` when the run
-    fails), ready for :func:`repro.telemetry.export_run`.
+    Takes :func:`simulate`'s arguments and returns the pipeline with the
+    warmup instruction count it resolved; :func:`simulate` runs it and
+    :func:`repro.verify.replay` steps it cycle by cycle.
     """
     if not isinstance(workload, Trace) and num_instructions <= 0:
         raise ValueError(
@@ -180,10 +134,6 @@ def simulate(
     if warmup_instructions is not None and warmup_instructions < 0:
         raise ValueError(
             f"warmup_instructions must be >= 0, got {warmup_instructions}"
-        )
-    if snapshot_interval is not None and snapshot_interval <= 0:
-        raise ValueError(
-            f"snapshot_interval must be positive, got {snapshot_interval}"
         )
     if isinstance(faults, FaultSpec):
         faults = FaultInjector(faults)
@@ -213,62 +163,62 @@ def simulate(
     tel = resolve_telemetry(telemetry)
     if tel is not None:
         tel.attach(pipeline)
+    return pipeline, warmup_instructions
 
-    periodic_dir = Path(snapshot_dir) if snapshot_dir is not None else None
-    failure_dir = (
-        Path(failure_snapshot_dir) if failure_snapshot_dir is not None else None
+
+def simulate(
+    workload: WorkloadLike,
+    policy: str = "age",
+    config: ProcessorConfig = MEDIUM,
+    num_instructions: int = DEFAULT_INSTRUCTIONS,
+    seed: Optional[int] = None,
+    max_cycles: Optional[int] = None,
+    warmup_instructions: Optional[int] = None,
+    faults: Optional[Union[FaultInjector, FaultSpec]] = None,
+    verify: bool = False,
+    watchdog_interval: Optional[int] = DEFAULT_WATCHDOG_INTERVAL,
+    telemetry: Union[None, bool, TelemetryConfig, Telemetry] = None,
+) -> SimResult:
+    """Run one workload under one IQ policy and return the result.
+
+    ``workload`` may be a benchmark name (see
+    :data:`repro.workloads.SPEC2017_PROFILES`), a
+    :class:`~repro.workloads.profile.WorkloadProfile`, or a pre-built
+    :class:`~repro.cpu.trace.Trace` (in which case ``num_instructions``
+    and ``seed`` are ignored).
+
+    ``warmup_instructions`` (default: half the trace, at most 20,000) run
+    to warm caches and predictors before measurement starts, mirroring the
+    paper's 16B-instruction skip.  Pass 0 to measure from a cold machine.
+
+    ``faults`` injects one chaos fault (see :mod:`repro.sim.faults`) —
+    used by the robustness tests and the sweep harness's failure drills.
+
+    ``verify`` runs the golden reference model in lockstep;
+    ``watchdog_interval`` bounds how many cycles may pass without a
+    commit before :class:`~repro.cpu.pipeline.CommitStall` fires (None
+    disables the watchdog).
+
+    ``telemetry`` enables the observability subsystem
+    (:mod:`repro.telemetry`): pass ``True`` for the default interval
+    sampler, a :class:`~repro.telemetry.TelemetryConfig` to tune it, or
+    a prepared :class:`~repro.telemetry.Telemetry` sink.  The sink comes
+    back on ``result.telemetry`` (and on ``exc.telemetry`` when the run
+    fails), ready for :func:`repro.telemetry.export_run`.
+    """
+    pipeline, warmup_instructions = build_pipeline(
+        workload, policy, config, num_instructions, seed, max_cycles,
+        warmup_instructions, faults, verify, watchdog_interval, telemetry,
     )
-    cell = f"{pipeline.run_provenance['workload']}-{policy}-{config.name}"
-    rolling: dict = {}
-    if periodic_dir is not None or failure_dir is not None:
-        pipeline.snapshot_interval = snapshot_interval or DEFAULT_SNAPSHOT_INTERVAL
-
-        def sink(p: Pipeline) -> None:
-            data = snapshot_bytes(p)
-            path: Optional[Path] = None
-            if periodic_dir is not None:
-                path = write_bytes_atomic(
-                    data, periodic_dir / f"{cell}-c{p.cycle}{SNAPSHOT_SUFFIX}"
-                )
-            if failure_dir is not None:
-                rolling["bytes"] = data
-                rolling["cycle"] = p.cycle
-            if p.telemetry is not None:
-                p.telemetry.event(
-                    EV_SNAPSHOT,
-                    category="verify",
-                    kind="periodic" if path is not None else "rolling",
-                    bytes=len(data),
-                    path=str(path) if path is not None else None,
-                )
-
-        pipeline.snapshot_sink = sink
-
     try:
         pipeline.run(
             max_cycles=max_cycles, warmup_instructions=warmup_instructions
         )
     except Exception as exc:
-        # Any failure — structured diagnostics (InvariantViolation,
-        # ArchitecturalMismatch, SimulationDiverged) and raw crashes
-        # alike — leaves its pre-crash state behind for replay.
-        if failure_dir is not None and "bytes" in rolling:
-            path = write_bytes_atomic(
-                rolling["bytes"],
-                failure_dir
-                / f"{cell}-c{rolling['cycle']}-failed{SNAPSHOT_SUFFIX}",
-            )
-            exc.snapshot_path = str(path)
         if pipeline.telemetry is not None:
             # Whatever was sampled before the failure is itself evidence;
             # close the last interval so it is not silently dropped.
             pipeline.telemetry.finish(pipeline.cycle)
             exc.telemetry = pipeline.telemetry
         raise
-    if periodic_dir is not None:
-        # Final state too, so `resume_to_result` on the last periodic
-        # snapshot and the uninterrupted run can be compared directly.
-        write_snapshot(
-            pipeline, periodic_dir / f"{cell}-c{pipeline.cycle}{SNAPSHOT_SUFFIX}"
-        )
     return result_from_pipeline(pipeline)

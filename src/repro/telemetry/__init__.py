@@ -7,8 +7,8 @@ The observability layer of the reproduction.  Four pieces:
   samples (IPC / MPKI / FLPI / occupancy histogram / stall breakdown /
   mode state) with near-zero cost when disabled.
 * :mod:`repro.telemetry.events` — discrete, structured events (mode
-  switches with their triggering metrics, flushes, near-stalls, snapshot
-  writes, fault injections).
+  switches with their triggering metrics, flushes, near-stalls, fault
+  injections).
 * :mod:`repro.telemetry.export` — JSONL and Chrome/Perfetto
   ``trace_event`` exporters plus the trace schema validator.
 * :mod:`repro.telemetry.profile` — simulator-throughput measurement
@@ -30,7 +30,6 @@ from repro.telemetry.events import (
     EV_MODE_SWITCH,
     EV_MODE_SWITCH_DECIDED,
     EV_NEAR_STALL,
-    EV_SNAPSHOT,
     EV_WARMUP_RESET,
     TelemetryEvent,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "EV_MODE_SWITCH",
     "EV_MODE_SWITCH_DECIDED",
     "EV_NEAR_STALL",
-    "EV_SNAPSHOT",
     "EV_WARMUP_RESET",
     "CounterSet",
     "IntervalSample",

@@ -36,9 +36,6 @@ EV_IQ_FLUSH = "iq_flush"
 #: eventually recovers (emitted once per commit-free episode).
 EV_NEAR_STALL = "commit_near_stall"
 
-#: A state snapshot was serialized (periodic or pre-crash rolling).
-EV_SNAPSHOT = "snapshot_write"
-
 #: A chaos fault (:mod:`repro.sim.faults`) actually fired.
 EV_FAULT = "fault_injected"
 

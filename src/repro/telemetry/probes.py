@@ -20,10 +20,7 @@ Cost model:
 * **Enabled**: O(1) work per cycle (histogram bucket increment) plus one
   O(counters) capture per interval boundary.
 
-The object is plain data — no file handles, no closures — so it pickles
-inside state snapshots: a resumed run continues sampling on the *same*
-interval boundaries and reproduces the uninterrupted run's time series
-bit-identically.
+The object is plain data: no file handles, no closures.
 """
 
 from __future__ import annotations
@@ -266,8 +263,9 @@ class Telemetry:
 
         Called by the pipeline when the trace retires; a run whose length
         is not a multiple of the interval still accounts every cycle.
-        Idempotence matters for snapshots: a snapshot taken *after* the
-        run finished resumes into an immediate second ``finish``.
+        Idempotence matters on failure: a run whose final oracle check
+        fails has already finished, and ``simulate`` flushes again on the
+        way out.
         """
         if not self.enabled or self._finished:
             return

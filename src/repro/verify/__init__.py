@@ -1,4 +1,4 @@
-"""Verification subsystem: golden-model lockstep, snapshot/replay, watchdog.
+"""Verification subsystem: golden-model lockstep, replay, watchdog.
 
 Three independent lines of defence against a *silently wrong* simulator
 (the occupancy invariants of :mod:`repro.core.base` only catch structural
@@ -8,12 +8,12 @@ answer):
 * :mod:`repro.verify.oracle` -- a golden in-order reference model that
   cross-checks every committed instruction against the trace's canonical
   architectural semantics (commit order, dataflow legality, forwarding),
-  raising :class:`ArchitecturalMismatch` on divergence.
-* :mod:`repro.verify.snapshot` -- versioned, checksummed serialization of
-  the complete simulator state; ``restore -> continue`` is bit-identical
-  to an uninterrupted run (enforced by the streaming commit digest).
-* :mod:`repro.verify.replay` -- re-run a window around a recorded failure
-  from a snapshot with per-cycle event tracing (``python -m repro replay``).
+  raising :class:`ArchitecturalMismatch` on divergence; and the
+  streaming :class:`CommitDigest` that proves two runs identical.
+* :mod:`repro.verify.replay` -- rerun a failed job from its spec with
+  the golden model attached and per-cycle event tracing
+  (``python -m repro replay``).  The simulator is deterministic in its
+  inputs, so the rerun reaches the recorded failure at the same cycle.
 
 The forward-progress watchdog lives inside the pipeline itself
 (:class:`repro.cpu.pipeline.CommitStall`): the three parts together make
@@ -27,17 +27,6 @@ from repro.verify.oracle import (
     GoldenModel,
 )
 from repro.verify.replay import ReplayOutcome, replay
-from repro.verify.snapshot import (
-    SNAPSHOT_VERSION,
-    Snapshot,
-    SnapshotError,
-    SnapshotMeta,
-    SnapshotVersionError,
-    load_snapshot,
-    resume_to_result,
-    snapshot_bytes,
-    write_snapshot,
-)
 
 __all__ = [
     "ArchitecturalMismatch",
@@ -46,13 +35,4 @@ __all__ = [
     "GoldenModel",
     "ReplayOutcome",
     "replay",
-    "SNAPSHOT_VERSION",
-    "Snapshot",
-    "SnapshotError",
-    "SnapshotMeta",
-    "SnapshotVersionError",
-    "load_snapshot",
-    "resume_to_result",
-    "snapshot_bytes",
-    "write_snapshot",
 ]

@@ -34,9 +34,9 @@ cache instead; the oracle does not flag missed forwards, only corrupt
 ones.
 
 :class:`CommitDigest` is the streaming commit-stream fingerprint used to
-prove two runs identical (snapshot/restore bit-reproducibility, result
-provenance).  It is a pure-Python mixer rather than :mod:`hashlib` so its
-state pickles inside snapshots.
+prove two runs identical (a replay against the original run, result
+provenance).  It is a pure-Python mixer whose values the timing
+fingerprint pins.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ class CommitDigest:
     Mixes (seq, pc, dispatch, issue, complete) of every committed
     instruction into two independent 64-bit streams.  Two runs with equal
     digests committed the same instructions with the same timing, in the
-    same order -- the bit-reproducibility criterion snapshots are held to.
-    Picklable (unlike ``hashlib`` objects), so it rides inside snapshots.
+    same order -- the bit-reproducibility criterion a replay is held to.
     """
 
     __slots__ = ("_a", "_b", "count")

@@ -1,43 +1,56 @@
-"""Replay a snapshot window with per-cycle event tracing.
+"""Rerun a job with per-cycle event tracing.
 
-``replay`` restores a snapshot (typically the pre-crash artifact the
-sweep harness saved for a failed cell) and re-executes it cycle by
-cycle, emitting one trace line per cycle: commits/issues/dispatches that
-cycle, ROB and IQ occupancy, the ready-set size, and the IQ mode.  The
-re-run is deterministic, so the recorded failure reproduces at exactly
-the same cycle -- a failure report becomes a debuggable artifact instead
-of a lost traceback.  Exposed as ``python -m repro replay``.
+The simulator is deterministic in its inputs -- workload, policy,
+config, budgets, seed and fault -- so a failure reproduces by running
+the same inputs again.  ``replay`` takes a job spec (the
+:func:`~repro.sim.harness.job_spec` form a failed sweep cell carries on
+``FailedResult.job``), builds its pipeline through the code
+:func:`~repro.sim.simulator.simulate` uses, always with the golden model
+attached, and steps it from cycle 0: silently up to ``from_cycle``, then
+with one trace line per cycle (commits/issues/dispatches that cycle, ROB
+and IQ occupancy, the ready-set size, and the IQ mode).  The recorded
+failure reproduces at exactly the same cycle -- a failure report becomes
+a debuggable run instead of a lost traceback.  Exposed as
+``python -m repro replay``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TYPE_CHECKING, Union
 
 from repro.telemetry.probes import Telemetry, TelemetryConfig
 from repro.verify.oracle import ArchitecturalMismatch
-from repro.verify.snapshot import Snapshot, load_snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.harness import SweepJob
 
 #: Replay windows are short and under the microscope: sample at full
 #: resolution by default (vs the normal 10k-cycle interval).
 DEFAULT_REPLAY_TELEMETRY_INTERVAL = 500
 
+#: Counters whose per-cycle change a trace line reports.
+_WATCH = (
+    "committed", "issued", "dispatched", "llc_misses",
+    "branch_mispredicts", "mode_switches", "squashed_instructions",
+)
+
 
 @dataclass
 class ReplayOutcome:
-    """What happened when the snapshot window was re-executed."""
+    """What happened when the job was rerun."""
 
     #: ``"completed"`` (trace retired), ``"failed"`` (a guard/oracle/
     #: watchdog diagnostic fired), or ``"stopped"`` (cycle budget hit).
     status: str
+    #: Cycles run in the traced window, which starts at ``from_cycle``.
     cycles_run: int
     final_cycle: int
     committed: int
     commit_digest: str
     error: Optional[BaseException] = None
-    #: The replay window's telemetry sink (full-resolution by default);
-    #: export it with :func:`repro.telemetry.export_run`.
+    #: The rerun's telemetry sink (full-resolution by default); export
+    #: it with :func:`repro.telemetry.export_run`.
     telemetry: Optional[Telemetry] = None
 
     @property
@@ -86,67 +99,94 @@ def _trace_line(pipeline, before: dict) -> str:
 
 
 def replay(
-    snapshot: Union[Snapshot, str, Path],
+    job: Union["SweepJob", dict],
     cycles: Optional[int] = None,
+    from_cycle: int = 0,
     trace: bool = True,
     out: Callable[[str], None] = print,
     telemetry: bool = True,
     telemetry_interval: int = DEFAULT_REPLAY_TELEMETRY_INTERVAL,
 ) -> ReplayOutcome:
-    """Re-run ``snapshot`` for up to ``cycles`` cycles, tracing each one.
+    """Rerun ``job`` from cycle 0, tracing each cycle from ``from_cycle``.
 
-    ``cycles=None`` runs until the trace retires, a diagnostic fires, or
-    the run's divergence limit is hit.  Every failure — the structured
+    ``job`` is a :class:`~repro.sim.harness.SweepJob` or its spec dict
+    (:func:`~repro.sim.harness.job_spec`; a malformed spec raises
+    ``ValueError``/``KeyError`` naming the field).  The loop applies the
+    divergence limit and the warmup counter reset exactly as
+    :meth:`Pipeline.run <repro.cpu.pipeline.Pipeline.run>` does, so a
+    healthy job ends at the cycle and commit digest :func:`simulate
+    <repro.sim.simulator.simulate>` gives it.  ``cycles`` stops the run
+    after that many cycles of the traced window (status ``"stopped"``);
+    ``None`` runs until the trace retires, a diagnostic fires, or the
+    divergence limit is hit.  Every failure -- the structured
     diagnostics (:class:`~repro.core.base.InvariantViolation`,
     :class:`~repro.verify.oracle.ArchitecturalMismatch`, the
-    divergence/watchdog family) and raw crashes alike — is caught and
+    divergence/watchdog family) and raw crashes alike -- is caught and
     returned in the outcome rather than re-raised.
 
-    ``telemetry`` (default on) ensures the replayed window is sampled at
-    full resolution (``telemetry_interval`` cycles): if the snapshot
-    already carries a telemetry sink it is kept as-is (so a resumed run's
-    interval alignment stays bit-identical); otherwise a fresh
-    fine-grained one is attached.  The sink lands on
-    ``outcome.telemetry``.
+    ``telemetry`` (default on) samples the run at ``telemetry_interval``
+    cycles; the sink lands on ``outcome.telemetry``.
     """
-    from repro.cpu.pipeline import SimulationDiverged  # import cycle guard
+    # Imported here: the simulator imports this package (import cycle).
+    from repro.core.base import InvariantViolation
+    from repro.cpu.pipeline import SimulationDiverged
+    from repro.sim.harness import job_from_spec
+    from repro.sim.simulator import build_pipeline
 
     if cycles is not None and cycles <= 0:
         raise ValueError(f"replay cycle budget must be positive, got {cycles}")
-    if not isinstance(snapshot, Snapshot):
-        snapshot = load_snapshot(snapshot)
-    pipeline = snapshot.pipeline
-    if telemetry and getattr(pipeline, "telemetry", None) is None:
-        Telemetry(TelemetryConfig(interval=telemetry_interval)).attach(pipeline)
-    if trace:
-        out(snapshot.meta.summary())
-    _watch = (
-        "committed", "issued", "dispatched", "llc_misses",
-        "branch_mispredicts", "mode_switches", "squashed_instructions",
+    if from_cycle < 0:
+        raise ValueError(f"replay from_cycle must be >= 0, got {from_cycle}")
+    if isinstance(job, dict):
+        job = job_from_spec(job)
+    pipeline, warmup = build_pipeline(
+        job.workload, job.policy, job.config, job.num_instructions,
+        job.seed, job.max_cycles, job.warmup_instructions, job.fault,
+        verify=True,
+        telemetry=TelemetryConfig(interval=telemetry_interval) if telemetry else None,
     )
-    start_cycle = pipeline.cycle
+    pipeline.start(job.max_cycles, warmup)
+    out(
+        f"replay {job.key}"
+        + (f" fault={job.fault}" if job.fault is not None else "")
+        + f", tracing from cycle {from_cycle}"
+    )
+    stats = pipeline.stats
     status = "completed"
     error: Optional[BaseException] = None
     try:
         while pipeline.rob or pipeline.frontend.has_more():
-            if cycles is not None and pipeline.cycle - start_cycle >= cycles:
+            cycle = pipeline.cycle
+            if cycles is not None and cycle - from_cycle >= cycles:
                 status = "stopped"
                 break
-            if pipeline.cycle > pipeline.run_limit:
+            if cycle > pipeline.run_limit:
                 raise SimulationDiverged(
-                    f"no convergence after {pipeline.cycle} cycles "
-                    f"(committed {pipeline.stats.committed})",
-                    partial_stats=pipeline.stats,
-                    cycles=pipeline.cycle,
+                    f"no convergence after {cycle} cycles "
+                    f"(committed {stats.committed}/{len(pipeline.trace)})",
+                    partial_stats=stats,
+                    cycles=cycle,
                 )
-            before = {key: getattr(pipeline.stats, key) for key in _watch}
+            if not trace or cycle < from_cycle:
+                pipeline.step()
+                pipeline.end_warmup()
+                continue
+            before = {key: getattr(stats, key) for key in _WATCH}
             pipeline.step()
-            if trace:
-                out(_trace_line(pipeline, before))
+            line = _trace_line(pipeline, before)
+            if pipeline.end_warmup():
+                line += " | warmup done, stats reset"
+            out(line)
+        else:
+            pipeline.oracle.check_final(stats.committed)
     except Exception as exc:
-        # Catch every failure, not only the structured diagnostics:
-        # the snapshot being replayed usually *exists because* the run
-        # died, and the point is to observe that death, not re-crash.
+        # Catch every failure, not only the structured diagnostics: the
+        # job being replayed usually *exists because* the run died, and
+        # the point is to observe that death, not re-crash.
+        if isinstance(exc, (InvariantViolation, ArchitecturalMismatch)) and (
+            exc.cycle is None or exc.cycle < 0
+        ):
+            exc.cycle = pipeline.cycle  # as run() fills it in
         status = "failed"
         error = exc
         if trace:
@@ -154,16 +194,16 @@ def replay(
             if isinstance(exc, ArchitecturalMismatch):
                 out("last commits before divergence:")
                 out(exc.recent_summary())
-    tel = getattr(pipeline, "telemetry", None)
+    tel = pipeline.telemetry
     if tel is not None:
-        # replay() drives step() directly, so the run loop's own finish
-        # never happens; close the last partial interval here.
+        # The run loop's own finish never happens here; close the last
+        # partial interval.
         tel.finish(pipeline.cycle)
     return ReplayOutcome(
         status=status,
-        cycles_run=pipeline.cycle - start_cycle,
+        cycles_run=max(0, pipeline.cycle - from_cycle),
         final_cycle=pipeline.cycle,
-        committed=pipeline.stats.committed,
+        committed=stats.committed,
         commit_digest=pipeline.commit_digest.hexdigest(),
         error=error,
         telemetry=tel,

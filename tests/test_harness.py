@@ -22,6 +22,8 @@ from repro.sim.harness import (
     WORKER_LOSS_KINDS,
     SweepFailed,
     SweepJob,
+    job_from_spec,
+    job_spec,
     make_grid,
     run_sweep,
     _run_job,
@@ -305,6 +307,19 @@ class TestCheckpointResume:
             assert report.executed == 1 and report.restored == 0
         assert len(ResultCache(tmp_path)) == 0
 
+    def test_resume_misses_when_the_model_changes(self, tmp_path, monkeypatch):
+        # The content address covers the simulator sources: after a model
+        # edit, rerunning the sweep executes its cells, never restores them.
+        from repro.service import cache as cache_module
+
+        jobs = self.grid()
+        assert run_sweep(jobs, max_workers=0, cache_dir=tmp_path).executed == 4
+        assert run_sweep(jobs, max_workers=0, cache_dir=tmp_path).restored == 4
+        monkeypatch.setattr(cache_module, "model_digest", lambda: "edited")
+        report = run_sweep(jobs, max_workers=0, cache_dir=tmp_path)
+        assert report.restored == 0 and report.executed == 4
+        assert report.all_ok
+
     def test_resume_misses_when_budgets_change(self, tmp_path):
         # Resume joins on the content address, which covers every budget:
         # a cell run under a cycle cap never stands in for the uncapped one.
@@ -342,16 +357,16 @@ class TestCheckpointResume:
         assert report.restored == 4 and report.executed == 0
         assert report.all_ok
 
-    def test_failed_cell_snapshot_path_round_trips(self, tmp_path):
-        snaps = tmp_path / "snaps"
+    def test_failed_cell_job_spec_round_trips(self, tmp_path):
         run_sweep([diverging_job()], max_workers=0, retries=0,
-                  cache_dir=tmp_path / "cache", snapshot_failures=snaps)
+                  cache_dir=tmp_path / "cache")
         report = run_sweep([diverging_job()], max_workers=0, retries=0,
-                           cache_dir=tmp_path / "cache",
-                           snapshot_failures=snaps)
+                           cache_dir=tmp_path / "cache")
         failure = report.cells[diverging_job().key]
-        assert failure.snapshot_path and failure.snapshot_path.endswith(".snap")
-        assert "replay" in failure.summary()
+        assert failure.job == job_spec(diverging_job())
+        rebuilt = FailedResult.from_dict(json.loads(json.dumps(failure.to_dict())))
+        assert job_from_spec(rebuilt.job) == diverging_job()
+        assert "python -m repro replay" in failure.summary()
 
     def test_stats_serialization_round_trip(self):
         result = simulate("exchange2", "swque", num_instructions=N)
@@ -444,16 +459,18 @@ class TestProcessExecutor:
         assert failure.partial_stats.cycles >= 300
         assert len(ResultCache(tmp_path)) == 0  # failures are never cached
 
-    def test_failure_snapshot_crosses_the_process_boundary(self, tmp_path):
+    def test_failure_spec_crosses_the_process_boundary(self):
         from repro.verify.replay import replay
 
-        snaps = tmp_path / "snaps"
-        report = run_sweep([diverging_job()], retries=0,
-                           snapshot_failures=snaps)
+        job = SweepJob("exchange2", "age", MEDIUM, N,
+                       fault=FaultSpec("corrupt-ready", at_cycle=1200))
+        report = run_sweep([job], max_workers=1, retries=0)
         failure = report.failures[0]
-        assert failure.snapshot_path is not None
-        outcome = replay(failure.snapshot_path, cycles=10, trace=False)
-        assert outcome.cycles_run == 10  # the artifact restores and steps
+        assert failure.error_type == "InvariantViolation"
+        outcome = replay(failure.job, trace=False)  # rerun in this process
+        assert type(outcome.error).__name__ == failure.error_type
+        assert str(outcome.error) == failure.error_message
+        assert outcome.final_cycle == failure.cycles == 1200
 
 
 class TestKilledSweepResumes:

@@ -79,7 +79,9 @@ class TestFailedResultRoundTrip:
             attempts=3,
             cycles=301,
             partial_stats=stats,
-            snapshot_path="snaps/mcf-swque-c301-failed.snap",
+            job={"workload": "mcf", "policy": "swque", "config": "medium",
+                 "num_instructions": 3000, "seed": None, "max_cycles": 300,
+                 "warmup_instructions": None},
         )
 
     def test_round_trips_including_partial_stats(self):
@@ -87,7 +89,7 @@ class TestFailedResultRoundTrip:
         rebuilt = FailedResult.from_dict(through_json(original.to_dict()))
         assert rebuilt.to_dict() == original.to_dict()
         assert rebuilt.partial_stats.cycles == 301
-        assert rebuilt.snapshot_path == original.snapshot_path
+        assert rebuilt.job == original.job
         assert not rebuilt.ok
 
     def test_round_trips_without_partial_stats(self):

@@ -1,7 +1,7 @@
 """Tests for the content-addressed result cache (repro.service.cache).
 
 Keying: two jobs share an address iff they are guaranteed to produce
-the same result under the same package version.  Hygiene: every failure
+the same result under the same package version and simulator sources.  Hygiene: every failure
 mode of the store reads as a *miss* — corruption, truncation, version
 skew — and the size bound evicts in least-recently-used order.
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import LARGE, MEDIUM
 from repro.cpu.stats import PipelineStats
+from repro.service import cache as cache_module
 from repro.service.cache import (
     CACHE_SCHEMA_VERSION,
     ENTRY_SUFFIX,
@@ -74,6 +75,22 @@ class TestCacheKeying:
         assert cache_key(job(), version="1.0.0") != cache_key(
             job(), version="1.1.0"
         )
+
+    def test_changed_model_digest_misses(self, tmp_path, monkeypatch):
+        # An edit to the simulator sources changes the digest: every
+        # entry recorded by the old model becomes unreachable.
+        cache = ResultCache(tmp_path)
+        cache.put(cache_key(job()), fake_result(), job=job())
+        assert cache.get(cache_key(job())) is not None
+        monkeypatch.setattr(cache_module, "model_digest", lambda: "edited")
+        assert cache.get(cache_key(job())) is None
+
+    def test_model_digest_hashes_the_model_sources(self):
+        digest = cache_module.model_digest()
+        assert len(digest) == 16 and digest == cache_module.model_digest()
+        root = cache_module.Path(cache_module.__file__).parent.parent
+        for source in cache_module.MODEL_SOURCES:
+            assert (root / source).exists(), source
 
     def test_profile_object_and_name_share_a_key(self):
         named = cache_key(job())

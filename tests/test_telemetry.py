@@ -3,8 +3,8 @@
 Covers the interval sampler's boundary math, the disabled fast path, the
 Chrome-trace exporter's schema, the agreement between mode-switch events
 and the aggregate counters, and the statistics-isolation audit: no
-counter leaks across back-to-back runs, and snapshot resume reproduces
-the uninterrupted run's time series bit-identically.
+counter leaks across back-to-back runs, and a replay reproduces the
+original run's time series bit-identically.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import pytest
 
 from repro.cpu.stats import PipelineStats
 from repro.sim import simulate
-from repro.sim.harness import make_grid, run_sweep
+from repro.sim.harness import SweepJob, make_grid, run_sweep
 from repro.telemetry import (
     EV_MODE_SWITCH,
     EV_MODE_SWITCH_DECIDED,
-    EV_SNAPSHOT,
     Telemetry,
     TelemetryConfig,
     chrome_trace,
@@ -28,7 +27,7 @@ from repro.telemetry import (
     resolve_telemetry,
     validate_chrome_trace,
 )
-from repro.verify import load_snapshot, replay, resume_to_result
+from repro.verify import replay
 
 #: Instruction budget: long enough for several intervals and (for the
 #: MLP workloads) at least one SWQUE mode switch, short enough for CI.
@@ -279,47 +278,25 @@ class TestStatsIsolation:
         assert snap["cycles"] == 5  # a copy, not a view
 
 
-class TestSnapshotAlignment:
-    """Telemetry travels with snapshots; resume keeps interval alignment."""
+class TestReplayTelemetry:
+    """A replay samples the same intervals as the run it reproduces."""
 
-    def test_resume_reproduces_the_time_series_bit_identically(self, tmp_path):
-        kwargs = dict(
-            num_instructions=8_000, warmup_instructions=0,
-            telemetry=TelemetryConfig(interval=INTERVAL),
-        )
-        baseline = simulate("exchange2", "swque",
-                            snapshot_dir=tmp_path, snapshot_interval=1_500,
-                            **kwargs)
-        paths = sorted(tmp_path.glob("*.snap"),
-                       key=lambda p: int(p.stem.split("-c")[-1]))
-        assert len(paths) >= 3
-        middle = paths[len(paths) // 2]
-        resumed = resume_to_result(load_snapshot(middle))
-        assert resumed.commit_digest == baseline.commit_digest
-        assert resumed.telemetry is not None
+    def test_replay_reproduces_the_time_series_bit_identically(self):
+        # The default warmup resets the counters mid-run; the replay loop
+        # must reset them at the same cycle for the series to agree.
+        baseline = simulate("exchange2", "swque", num_instructions=8_000,
+                            telemetry=TelemetryConfig(interval=INTERVAL))
+        outcome = replay(SweepJob("exchange2", "swque", num_instructions=8_000),
+                         trace=False, telemetry_interval=INTERVAL)
+        assert outcome.commit_digest == baseline.commit_digest
         base_series = [s.as_dict() for s in baseline.telemetry.samples]
-        resumed_series = [s.as_dict() for s in resumed.telemetry.samples]
-        assert resumed_series == base_series
+        replay_series = [s.as_dict() for s in outcome.telemetry.samples]
+        assert replay_series == base_series
 
-    def test_snapshot_events_are_recorded(self, tmp_path):
-        result = simulate(
-            "exchange2", "swque", num_instructions=6_000,
-            warmup_instructions=0, telemetry=True,
-            snapshot_dir=tmp_path, snapshot_interval=1_500,
-        )
-        events = result.telemetry.events_named(EV_SNAPSHOT)
-        assert events
-        assert all(e.args["kind"] == "periodic" for e in events)
-        assert all(e.args["path"] for e in events)
-
-    def test_replay_attaches_full_resolution_telemetry(self, tmp_path):
-        simulate("exchange2", "swque", num_instructions=6_000,
-                 warmup_instructions=0,
-                 snapshot_dir=tmp_path, snapshot_interval=1_500)
-        paths = sorted(tmp_path.glob("*.snap"),
-                       key=lambda p: int(p.stem.split("-c")[-1]))
-        outcome = replay(paths[0], cycles=1_200, trace=False,
-                         telemetry_interval=300)
+    def test_replay_attaches_full_resolution_telemetry(self):
+        outcome = replay(SweepJob("exchange2", "swque", num_instructions=6_000,
+                                  warmup_instructions=0),
+                         cycles=1_200, trace=False, telemetry_interval=300)
         assert outcome.telemetry is not None
         assert outcome.telemetry.config.interval == 300
         assert outcome.telemetry.samples  # the window was sampled
