@@ -1,17 +1,14 @@
 """Benchmark-harness helpers.
 
-Each benchmark regenerates one of the paper's tables or figures: it runs
-the corresponding experiment once under pytest-benchmark (pedantic mode --
-these are minutes-scale simulations, not microbenchmarks), asserts the
-paper's qualitative shape, and writes the regenerated rows to
-``benchmarks/results/`` for inspection.
-
-Simulation batches run through the fault-tolerant sweep harness
-(:mod:`repro.sim.harness`): the figure experiments ride it transitively
-via :func:`repro.sim.runner.run_policies`, and :func:`bench_sweep` below
-is the direct front for grid-shaped benchmarks — a failed cell aborts
-with the *complete* per-cell report (tracebacks and partial stats
-included) instead of a bare mid-sweep exception.
+Each figure benchmark checks one of the paper's tables or figures (or an
+ablation): it takes that experiment's payload, asserts the paper's
+qualitative shape, and writes the payload to ``benchmarks/results/`` for
+inspection.  The payloads come from the session fixture ``payloads`` in
+``conftest.py``: one :func:`repro.sim.experiments.regenerate` over the
+union of the cells that the collected tests' experiments (each module's
+``EXPERIMENTS``) need, on a worker per core, through the result cache in
+:data:`CACHE_DIR`.  A cell already in the cache is restored, not rerun;
+cache keys cover the model sources, so a model edit reruns every cell.
 """
 
 from __future__ import annotations
@@ -19,16 +16,12 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.config import MEDIUM
-from repro.sim.harness import make_grid, run_sweep
 from repro.telemetry import TELEMETRY_SCHEMA_VERSION
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Instruction budget per (workload, policy, config) simulation.  The
-#: paper used 100M-instruction runs on a C simulator; this is the
-#: laptop-Python equivalent, enough for the relative orderings to settle.
-BENCH_INSTRUCTIONS = 60_000
+#: The figure grid's result cache (CI restores and saves it).
+CACHE_DIR = pathlib.Path(__file__).parent / ".grid-cache"
 
 
 def record(name: str, payload) -> pathlib.Path:
@@ -51,31 +44,3 @@ def record(name: str, payload) -> pathlib.Path:
     print(f"\n=== {name} ===")
     print(json.dumps(payload, indent=2, default=str))
     return path
-
-
-def run_once(benchmark, func):
-    """Run ``func`` exactly once under pytest-benchmark and return it."""
-    return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
-
-
-def bench_sweep(
-    workloads,
-    policies,
-    config=MEDIUM,
-    num_instructions=BENCH_INSTRUCTIONS,
-    seed=None,
-):
-    """Run a (workload x policy) grid through the resilient harness.
-
-    Returns ``results[workload][policy]`` like ``run_policies``.  If any
-    cell fails, the whole harness report (statuses, tracebacks, partial
-    stats) goes into the AssertionError so the benchmark log shows
-    *which* cells died and how far they got.
-    """
-    jobs = make_grid(
-        workloads, policies, configs=(config,),
-        num_instructions=num_instructions, seed=seed,
-    )
-    report = run_sweep(jobs, max_workers=0)
-    assert report.all_ok, f"benchmark sweep had failures:\n{report.summary()}"
-    return report.by_workload()

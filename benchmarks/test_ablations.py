@@ -4,16 +4,16 @@ These go beyond the paper's own tables: each one isolates one modelling
 or design decision and asserts the direction of its effect.
 """
 
-from repro.sim import ablations
+from repro.sim.ablations import ABLATIONS
 
-from bench_util import record, run_once
+from bench_util import record
 
-N = 40_000
+EXPERIMENTS = list(ABLATIONS)
 
 
-def test_wrong_path_ablation(benchmark):
+def test_wrong_path_ablation(payloads):
     """Wrong-path contention is what makes issue priority matter."""
-    out = run_once(benchmark, lambda: ablations.wrong_path_ablation(num_instructions=N))
+    out = payloads["abl-wrong-path"]
     record("abl_wrong_path", out)
     with_wp = out["wrong_path"]["shift_over_rand"]
     without = out["stall_on_mispredict"]["shift_over_rand"]
@@ -21,11 +21,9 @@ def test_wrong_path_ablation(benchmark):
     assert without < with_wp / 2     # the effect collapses without it
 
 
-def test_related_work_comparison(benchmark):
+def test_related_work_comparison(payloads):
     """SWQUE vs Section 5 baselines, plus the criticality-oracle bound."""
-    out = run_once(
-        benchmark, lambda: ablations.related_work_comparison(num_instructions=N)
-    )
+    out = payloads["abl-related-work"]
     record("abl_related_work", out)
     # The unimplementable oracle bounds everything from above.
     assert out["critical-oracle"] > out["swque"]
@@ -36,9 +34,9 @@ def test_related_work_comparison(benchmark):
     assert out["hsw"] > -0.01
 
 
-def test_iq_size_sweep(benchmark):
+def test_iq_size_sweep(payloads):
     """CIRC-PC's capacity handicap shrinks as the queue grows."""
-    out = run_once(benchmark, lambda: ablations.iq_size_sweep(num_instructions=N))
+    out = payloads["abl-iq-size"]
     record("abl_iq_size_sweep", out)
     sizes = sorted(out)
     # The smallest queue is CIRC-PC's worst point relative to AGE.
@@ -47,9 +45,9 @@ def test_iq_size_sweep(benchmark):
     assert out[128] > 0
 
 
-def test_flpi_region_sweep(benchmark):
+def test_flpi_region_sweep(payloads):
     """Larger FLPI regions push SWQUE out of CIRC-PC mode on m-ILP."""
-    out = run_once(benchmark, lambda: ablations.flpi_region_sweep(num_instructions=N))
+    out = payloads["abl-flpi-region"]
     record("abl_flpi_region_sweep", out)
     fractions = sorted(out)
     shares = [out[f]["circ_pc_share"] for f in fractions]
@@ -58,11 +56,9 @@ def test_flpi_region_sweep(benchmark):
     assert shares[0] > 0.5           # the calibrated default stays in CIRC-PC
 
 
-def test_switch_interval_sweep(benchmark):
+def test_switch_interval_sweep(payloads):
     """SWQUE tolerates a wide range of switch intervals."""
-    out = run_once(
-        benchmark, lambda: ablations.switch_interval_sweep(num_instructions=N)
-    )
+    out = payloads["abl-switch-interval"]
     record("abl_switch_interval_sweep", out)
     # No catastrophic setting: all intervals stay within a few percent of
     # the best one.
@@ -70,8 +66,8 @@ def test_switch_interval_sweep(benchmark):
     assert all(v > best - 0.06 for v in out.values())
 
 
-def test_prefetch_ablation(benchmark):
+def test_prefetch_ablation(payloads):
     """The stream prefetcher matters on memory-intensive programs."""
-    out = run_once(benchmark, lambda: ablations.prefetch_ablation(num_instructions=N))
+    out = payloads["abl-prefetch"]
     record("abl_prefetch", out)
     assert out["speedup_from_prefetch"] > -0.02

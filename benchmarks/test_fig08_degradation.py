@@ -5,13 +5,13 @@ recovers much of RAND's loss but stays clearly below SHIFT; SWQUE lands
 far closer to SHIFT than AGE does.
 """
 
-from repro.sim.experiments import figure8
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["fig8"]
 
 
-def test_figure8(benchmark):
-    out = run_once(benchmark, lambda: figure8(num_instructions=BENCH_INSTRUCTIONS))
+def test_figure8(payloads):
+    out = payloads["fig8"]
     record("fig08_degradation_vs_shift", out)
     for suite in ("GM int", "GM fp"):
         deg = out[suite]

@@ -6,16 +6,13 @@ there); the large processor widens the advantage (paper: INT 9.7% -> 13.4%,
 FP 2.9% -> 4.0%).
 """
 
-from repro.sim.experiments import figure9
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["fig9"]
 
 
-def test_figure9(benchmark):
-    out = run_once(
-        benchmark,
-        lambda: figure9(num_instructions=BENCH_INSTRUCTIONS, include_large=True),
-    )
+def test_figure9(payloads):
+    out = payloads["fig9"]
     record("fig09_speedup_over_age", out)
     gm = out["geomean"]
     # SWQUE wins on average in both suites, more on INT than FP.

@@ -5,13 +5,13 @@ mode; memory-intensive (MLP) and rich-ILP programs are essentially
 configured as AGE.
 """
 
-from repro.sim.experiments import figure10
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["fig10"]
 
 
-def test_figure10(benchmark):
-    out = run_once(benchmark, lambda: figure10(num_instructions=BENCH_INSTRUCTIONS))
+def test_figure10(payloads):
+    out = payloads["fig10"]
     record("fig10_mode_breakdown", out)
     milp = [e["circ-pc"] for e in out.values() if e["class"] == "m-ILP"]
     mlp = [e["circ-pc"] for e in out.values() if e["class"] == "MLP"]

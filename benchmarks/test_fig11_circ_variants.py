@@ -10,13 +10,13 @@ Known deviation: in our model CIRC-PC sits a few points below CIRC-PPRI
 longer, exposing more instructions to the RV latency; see EXPERIMENTS.md.
 """
 
-from repro.sim.experiments import figure11
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["fig11"]
 
 
-def test_figure11(benchmark):
-    out = run_once(benchmark, lambda: figure11(num_instructions=BENCH_INSTRUCTIONS))
+def test_figure11(payloads):
+    out = payloads["fig11"]
     record("fig11_circ_variants", out)
     for suite in ("GM int", "GM fp"):
         deg = out[suite]

@@ -5,13 +5,13 @@ and the SWQUE-specific share (extra select logic + doubled tag RAM
 accesses) is tiny -- the static part too small to even see in the figure.
 """
 
-from repro.sim.experiments import figure12
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["fig12"]
 
 
-def test_figure12(benchmark):
-    out = run_once(benchmark, lambda: figure12(num_instructions=BENCH_INSTRUCTIONS))
+def test_figure12(payloads):
+    out = payloads["fig12"]
     record("fig12_energy_vs_ishift", out)
     # Within a few percent of the idealized shifting queue.
     assert 0.90 < out["relative_energy_geomean"] < 1.10

@@ -5,13 +5,13 @@ Paper shape: the age matrix is the largest circuit, the tag RAM is small
 added select logic is 17% of the baseline IQ area.
 """
 
-from repro.sim.experiments import figure13
+from bench_util import record
 
-from bench_util import record, run_once
+EXPERIMENTS = ["fig13"]
 
 
-def test_figure13(benchmark):
-    out = run_once(benchmark, figure13)
+def test_figure13(payloads):
+    out = payloads["fig13"]
     record("fig13_circuit_areas", out)
     circuits = {k: v for k, v in out.items() if not k.startswith("extra")}
     assert max(circuits, key=circuits.get) == "age_matrix"

@@ -15,19 +15,13 @@ amplifies all of them, and adding matrices to SWQUE's AGE mode helps
 SWQUE rather than hurting it.
 """
 
-from repro.sim.experiments import figure14
+from bench_util import record
 
-from bench_util import record, run_once
-
-#: Somewhat smaller budget: this figure needs 4 policies x 2 processors.
-INSTRUCTIONS = 40_000
+EXPERIMENTS = ["fig14"]
 
 
-def test_figure14(benchmark):
-    out = run_once(
-        benchmark,
-        lambda: figure14(num_instructions=INSTRUCTIONS, include_large=True),
-    )
+def test_figure14(payloads):
+    out = payloads["fig14"]
     record("fig14_multi_age_matrix", out)
     for key in ("int-medium", "int-large"):
         row = out[key]

@@ -5,15 +5,16 @@ double tag RAM access takes 66% of the critical path (large margin); the
 payload RAM read uses 43%, leaving room for the final grant selection.
 """
 
-from repro.sim.experiments import section47
 from repro.config import LARGE
 from repro.power.delay import IqDelayModel
 
-from bench_util import record, run_once
+from bench_util import record
+
+EXPERIMENTS = ["sec47"]
 
 
-def test_section47(benchmark):
-    out = run_once(benchmark, section47)
+def test_section47(payloads):
+    out = payloads["sec47"]
     record("sec47_delay", out)
     assert abs(out["dtm_overhead"] - 0.013) < 1e-4
     assert abs(out["double_tag_access_fraction"] - 0.66) < 1e-3

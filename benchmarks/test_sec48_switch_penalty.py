@@ -4,16 +4,13 @@ Paper shape: raising the mode-switch penalty from 10 to 40 cycles costs
 only ~0.02% because transitions are rare (~8 per million cycles).
 """
 
-from repro.sim.experiments import section48
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["sec48"]
 
 
-def test_section48(benchmark):
-    out = run_once(
-        benchmark,
-        lambda: section48(num_instructions=BENCH_INSTRUCTIONS, penalties=(10, 40)),
-    )
+def test_section48(payloads):
+    out = payloads["sec48"]
     record("sec48_switch_penalty", out)
     # Quadrupling the penalty is almost free...
     assert abs(out["degradation_at_40"]) < 0.01

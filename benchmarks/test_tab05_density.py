@@ -5,13 +5,13 @@ dense as (or denser than) a dense logic array and the Skylake chip
 average -- evidence that the hand layout is reasonable.
 """
 
-from repro.sim.experiments import table5
+from bench_util import record
 
-from bench_util import record, run_once
+EXPERIMENTS = ["tab5"]
 
 
-def test_table5(benchmark):
-    out = run_once(benchmark, table5)
+def test_table5(payloads):
+    out = payloads["tab5"]
     record("tab05_transistor_density", out)
     l2 = out["l2_cache_512kb (Sun)"]
     multiplier = out["fp_multiplier_54b (Fujitsu)"]

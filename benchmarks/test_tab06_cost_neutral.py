@@ -7,13 +7,13 @@ loss), while SWQUE's gain is large -- priority, not capacity, is what the
 moderate-ILP programs need.
 """
 
-from repro.sim.experiments import table6
+from bench_util import record
 
-from bench_util import BENCH_INSTRUCTIONS, record, run_once
+EXPERIMENTS = ["tab6"]
 
 
-def test_table6(benchmark):
-    out = run_once(benchmark, lambda: table6(num_instructions=BENCH_INSTRUCTIONS))
+def test_table6(payloads):
+    out = payloads["tab6"]
     record("tab06_cost_neutral", out)
     assert abs(out["additional_area_mm2"] - 0.0029) < 1e-6
     assert abs(out["vs_skylake_core"] - 0.00034) < 1e-5

@@ -5,7 +5,7 @@ Examples::
     python -m repro run deepsjeng swque --instructions 60000
     python -m repro run exchange2 swque --verify        # golden-model lockstep
     python -m repro compare exchange2 --policies shift age swque
-    python -m repro experiment fig8 --instructions 40000
+    python -m repro experiment fig8 fig11 --instructions 40000
     python -m repro trace --workload int --policy swque --out-dir telemetry/
     python -m repro sweep --policies age swque --timeout 600 --retries 2 \\
         --cache-dir .sweep-cache
@@ -23,28 +23,11 @@ import sys
 
 from repro.config import LARGE, MEDIUM
 from repro.core.factory import IQ_POLICIES
-from repro.sim import experiments
+from repro.sim.experiments import EXPERIMENTS, regenerate
 from repro.sim.harness import make_grid, run_sweep
 from repro.sim.runner import format_table, run_policies
 from repro.sim.simulator import simulate
 from repro.workloads.spec2017 import SPEC2017_PROFILES
-
-_EXPERIMENTS = {
-    "fig8": experiments.figure8,
-    "fig9": experiments.figure9,
-    "fig10": experiments.figure10,
-    "fig11": experiments.figure11,
-    "fig12": experiments.figure12,
-    "fig13": experiments.figure13,
-    "fig14": experiments.figure14,
-    "tab5": experiments.table5,
-    "tab6": experiments.table6,
-    "sec47": experiments.section47,
-    "sec48": experiments.section48,
-}
-
-#: Experiments that take no instruction budget (pure circuit models).
-_ANALYTIC = {"fig13", "tab5", "sec47"}
 
 #: ``trace --workload`` suite shortcuts: a representative MLP-class
 #: profile from each suite, chosen because its phase behaviour actually
@@ -78,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--instructions", type=int, default=60_000)
     compare.add_argument("--large", action="store_true")
 
-    experiment = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
-    experiment.add_argument("--instructions", type=int, default=60_000)
+    experiment = sub.add_parser("experiment",
+                                help="regenerate paper figures/tables as one grid")
+    experiment.add_argument("names", nargs="+", choices=list(EXPERIMENTS))
+    experiment.add_argument("--instructions", type=int, default=None,
+                            help="default: each experiment's own budget")
 
     trace = sub.add_parser(
         "trace",
@@ -555,11 +540,7 @@ def main(argv=None) -> int:
         # Mirror the sweep/serve convention: fatal-signal exit on drain.
         return 130 if interrupted else 0
     if args.command == "experiment":
-        func = _EXPERIMENTS[args.name]
-        if args.name in _ANALYTIC:
-            out = func()
-        else:
-            out = func(num_instructions=args.instructions)
+        out = regenerate(args.names, num_instructions=args.instructions)
         print(json.dumps(out, indent=2, default=str))
         return 0
     return 1  # pragma: no cover - argparse enforces choices

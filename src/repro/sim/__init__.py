@@ -12,11 +12,7 @@ from repro.sim.harness import (
     make_grid,
     run_sweep,
 )
-from repro.sim.runner import (
-    format_table,
-    run_policies,
-    run_policies_resilient,
-)
+from repro.sim.runner import format_table, run_policies
 
 __all__ = [
     "FailedResult",
@@ -31,6 +27,5 @@ __all__ = [
     "make_grid",
     "run_sweep",
     "run_policies",
-    "run_policies_resilient",
     "format_table",
 ]

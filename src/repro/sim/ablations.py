@@ -1,8 +1,11 @@
 """Ablations for the design choices DESIGN.md calls out.
 
-These go beyond the paper's own evaluation: each function isolates one
+These go beyond the paper's own evaluation: each one isolates one
 modelling or design decision and quantifies it, so a reader can see *why*
-the system behaves as it does.
+the system behaves as it does.  Like the figures, each is an
+:class:`~repro.sim.runner.Experiment` (:data:`ABLATIONS`): its cells,
+and the reduce below that turns their results into the payload;
+:func:`repro.sim.experiments.regenerate` runs them.
 
 * :func:`wrong_path_ablation` -- the load-bearing modelling choice: with
   stall-on-mispredict fetch, issue priority stops mattering entirely.
@@ -22,11 +25,11 @@ the system behaves as it does.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.config import MEDIUM, PrefetchConfig, scaled_iq_config
-from repro.sim.results import geomean
-from repro.sim.runner import run_policies
+from repro.sim.results import geomean, geomean_speedup
+from repro.sim.runner import Experiment
 
 DEFAULT_INSTRUCTIONS = 40_000
 
@@ -37,17 +40,13 @@ PANEL_MLP = ["omnetpp", "fotonik3d"]
 PANEL_RILP = ["bwaves"]
 PANEL = PANEL_MILP + PANEL_MLP + PANEL_RILP
 
+FRONT_ENDS = {
+    "wrong_path": MEDIUM,
+    "stall_on_mispredict": replace(MEDIUM, wrong_path_fetch=False),
+}
 
-def _gm_speedup(results, programs: Sequence[str], policy: str, base: str) -> float:
-    return geomean(
-        results[w][policy].ipc / results[w][base].ipc for w in programs
-    ) - 1.0
 
-
-def wrong_path_ablation(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-) -> dict:
+def wrong_path_ablation(results, programs) -> dict:
     """Priority sensitivity with and without wrong-path execution.
 
     Returns the SHIFT-over-RAND geomean speedup under both front ends.
@@ -55,118 +54,119 @@ def wrong_path_ablation(
     stall-on-mispredict the gap collapses (and can invert) because there
     is no junk for the priority to demote.
     """
-    programs = list(programs or PANEL_MILP)
     out = {}
-    for label, config in (
-        ("wrong_path", MEDIUM),
-        ("stall_on_mispredict", replace(MEDIUM, wrong_path_fetch=False)),
-    ):
-        results = run_policies(programs, ["shift", "rand", "age"], config=config,
-                               num_instructions=num_instructions)
+    for label, config in FRONT_ENDS.items():
+        grid = results[config]
         out[label] = {
-            "shift_over_rand": _gm_speedup(results, programs, "shift", "rand"),
-            "shift_over_age": _gm_speedup(results, programs, "shift", "age"),
+            "shift_over_rand": geomean_speedup(grid, programs, "shift", "rand"),
+            "shift_over_age": geomean_speedup(grid, programs, "shift", "age"),
         }
     return out
 
 
-def related_work_comparison(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-) -> dict:
+RELATED_WORK = ("age", "swque", "hsw", "oldq", "critical-oracle")
+
+
+def related_work_comparison(results, programs) -> dict:
     """SWQUE vs the Section 5 alternatives, as speedups over AGE."""
-    programs = list(programs or PANEL_MILP)
-    policies = ["age", "swque", "hsw", "oldq", "critical-oracle"]
-    results = run_policies(programs, policies,
-                           num_instructions=num_instructions)
     return {
-        policy: _gm_speedup(results, programs, policy, "age")
-        for policy in policies
-        if policy != "age"
+        policy: geomean_speedup(results[MEDIUM], programs, policy, "age")
+        for policy in RELATED_WORK[1:]
     }
 
 
-def iq_size_sweep(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-    sizes: Sequence[int] = (48, 96, 128, 192, 256),
-) -> dict:
+IQ_SIZES = {size: scaled_iq_config(MEDIUM, size) for size in (48, 96, 128, 192, 256)}
+
+
+def iq_size_sweep(results, programs) -> dict:
     """CIRC-PC vs AGE across IQ sizes (capacity-vs-priority crossover).
 
     Small queues starve CIRC-PC (its capacity inefficiency binds); large
     queues hide it and let the correct priority dominate.
     """
-    programs = list(programs or PANEL_MILP)
-    out: Dict[int, float] = {}
-    for size in sizes:
-        config = scaled_iq_config(MEDIUM, size)
-        results = run_policies(programs, ["age", "circ-pc"], config=config,
-                               num_instructions=num_instructions)
-        out[size] = _gm_speedup(results, programs, "circ-pc", "age")
-    return out
+    return {
+        size: geomean_speedup(results[config], programs, "circ-pc", "age")
+        for size, config in IQ_SIZES.items()
+    }
 
 
-def flpi_region_sweep(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-    fractions: Sequence[float] = (0.03125, 0.0625, 0.125, 0.25),
-) -> dict:
+FLPI_REGIONS = {
+    f: replace(MEDIUM, swque=replace(MEDIUM.swque, flpi_region_fraction=f))
+    for f in (0.03125, 0.0625, 0.125, 0.25)
+}
+
+
+def flpi_region_sweep(results, programs) -> dict:
     """SWQUE sensitivity to the FLPI low-priority region size.
 
     Larger regions read more issues as "low priority", pushing SWQUE
     toward AGE mode on priority-sensitive programs.  Reports the geomean
     speedup over AGE and the mean CIRC-PC mode share on the m-ILP panel.
     """
-    programs = list(programs or PANEL_MILP)
     out = {}
-    for fraction in fractions:
-        config = replace(
-            MEDIUM, swque=replace(MEDIUM.swque, flpi_region_fraction=fraction)
-        )
-        results = run_policies(programs, ["age", "swque"], config=config,
-                               num_instructions=num_instructions)
+    for fraction, config in FLPI_REGIONS.items():
+        grid = results[config]
         share = sum(
-            results[w]["swque"].mode_fractions.get("circ-pc", 0.0)
-            for w in programs
+            grid[w]["swque"].mode_fractions.get("circ-pc", 0.0) for w in programs
         ) / len(programs)
         out[fraction] = {
-            "speedup_over_age": _gm_speedup(results, programs, "swque", "age"),
+            "speedup_over_age": geomean_speedup(grid, programs, "swque", "age"),
             "circ_pc_share": share,
         }
     return out
 
 
-def switch_interval_sweep(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-    intervals: Sequence[int] = (2_500, 10_000, 40_000),
-) -> dict:
+SWITCH_INTERVALS = {
+    interval: replace(MEDIUM, swque=replace(MEDIUM.swque, switch_interval=interval))
+    for interval in (2_500, 10_000, 40_000)
+}
+
+
+def switch_interval_sweep(results, programs) -> dict:
     """SWQUE sensitivity to the Table 3 switch-interval length."""
-    programs = list(programs or PANEL_MILP + PANEL_MLP)
-    out = {}
-    for interval in intervals:
-        config = replace(
-            MEDIUM, swque=replace(MEDIUM.swque, switch_interval=interval)
-        )
-        results = run_policies(programs, ["age", "swque"], config=config,
-                               num_instructions=num_instructions)
-        out[interval] = _gm_speedup(results, programs, "swque", "age")
-    return out
+    return {
+        interval: geomean_speedup(results[config], programs, "swque", "age")
+        for interval, config in SWITCH_INTERVALS.items()
+    }
 
 
-def prefetch_ablation(
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    programs: Optional[Sequence[str]] = None,
-) -> dict:
+PREFETCH = {
+    label: replace(MEDIUM, prefetch=PrefetchConfig(enabled=enabled))
+    for label, enabled in (("prefetch_on", True), ("prefetch_off", False))
+}
+
+
+def prefetch_ablation(results, programs) -> dict:
     """Stream-prefetcher contribution on the memory-intensive panel."""
-    programs = list(programs or PANEL_MLP + ["lbm"])
-    out = {}
-    for label, enabled in (("prefetch_on", True), ("prefetch_off", False)):
-        config = replace(MEDIUM, prefetch=PrefetchConfig(enabled=enabled))
-        results = run_policies(programs, ["age"], config=config,
-                               num_instructions=num_instructions)
-        out[label] = {w: results[w]["age"].ipc for w in programs}
+    out = {
+        label: {w: results[config][w]["age"].ipc for w in programs}
+        for label, config in PREFETCH.items()
+    }
     out["speedup_from_prefetch"] = geomean(
         out["prefetch_on"][w] / out["prefetch_off"][w] for w in programs
     ) - 1.0
     return out
+
+
+def _ablation(reduce, policies, configs, programs):
+    return Experiment(reduce, ((policies, tuple(configs)),),
+                      DEFAULT_INSTRUCTIONS, tuple(programs))
+
+
+#: The ablations by name, as :func:`repro.sim.experiments.regenerate`
+#: knows them.
+ABLATIONS: Dict[str, Experiment] = {
+    "abl-wrong-path": _ablation(wrong_path_ablation, ("shift", "rand", "age"),
+                                FRONT_ENDS.values(), PANEL_MILP),
+    "abl-related-work": _ablation(related_work_comparison, RELATED_WORK,
+                                  (MEDIUM,), PANEL_MILP),
+    "abl-iq-size": _ablation(iq_size_sweep, ("age", "circ-pc"),
+                             IQ_SIZES.values(), PANEL_MILP),
+    "abl-flpi-region": _ablation(flpi_region_sweep, ("age", "swque"),
+                                 FLPI_REGIONS.values(), PANEL_MILP),
+    "abl-switch-interval": _ablation(switch_interval_sweep, ("age", "swque"),
+                                     SWITCH_INTERVALS.values(),
+                                     PANEL_MILP + PANEL_MLP),
+    "abl-prefetch": _ablation(prefetch_ablation, ("age",), PREFETCH.values(),
+                              PANEL_MLP + ["lbm"]),
+}

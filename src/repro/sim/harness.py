@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.config import CONFIGS, MEDIUM, ProcessorConfig, get_config
+from repro.config import CONFIGS, MEDIUM, ProcessorConfig, config_digest, get_config
 from repro.core.factory import IQ_POLICIES
 from repro.sim.faults import FaultSpec
 from repro.sim.results import FailedResult, SimResult, result_from_dict
@@ -100,12 +100,19 @@ class SweepJob:
     def key(self) -> str:
         """Human-readable cell identity: the sweep report's key.  The
         cycle cap and warmup appear only when set, so default keys (and
-        the telemetry file names derived from them) stay short.  Resume
-        joins on the content address (:func:`repro.service.cache.cache_key`)
-        instead, which also covers config, package version and model
-        sources."""
+        the telemetry file names derived from them) stay short.  A config
+        other than the one registered under its name (a
+        ``dataclasses.replace`` copy) is named by its name plus a short
+        :func:`~repro.config.config_digest`, so two such copies are two
+        cells.  Resume joins on the content address
+        (:func:`repro.service.cache.cache_key`) instead, which also
+        covers package version and model sources."""
+        config = self.config.name
+        registered = CONFIGS.get(config)
+        if registered is not self.config and registered != self.config:
+            config += "@" + config_digest(self.config)[:8]
         key = (
-            f"{self.workload_name}|{self.policy}|{self.config.name}"
+            f"{self.workload_name}|{self.policy}|{config}"
             f"|n={self.num_instructions}|seed={self.seed}"
         )
         if self.max_cycles is not None:

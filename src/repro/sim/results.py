@@ -244,6 +244,7 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def geomean_speedup(pairs: Iterable[tuple]) -> float:
-    """Geometric-mean speedup over (result, baseline) pairs (0.10 = +10%)."""
-    return geomean(r.ipc / b.ipc for r, b in pairs) - 1.0
+def geomean_speedup(results, programs: Iterable[str], policy: str, base: str) -> float:
+    """Geometric-mean speedup of ``policy`` over ``base`` across
+    ``programs`` (0.10 = +10%), from ``results[workload][policy]``."""
+    return geomean(results[w][policy].ipc / results[w][base].ipc for w in programs) - 1.0

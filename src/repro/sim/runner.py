@@ -1,17 +1,16 @@
 """Batch runners and plain-text result tables for the experiments.
 
-Both runners are thin fronts over the fault-tolerant sweep harness
-(:mod:`repro.sim.harness`): :func:`run_policies` keeps the historical
-fail-fast dict-of-dicts contract the experiments expect, while
-:func:`run_policies_resilient` returns the harness's full
-:class:`~repro.sim.harness.SweepReport` in which crashed or diverged
-cells are :class:`~repro.sim.results.FailedResult` data instead of a
-sweep-killing exception.
+:func:`run_policies` is a thin, fail-fast front over the sweep harness
+(:mod:`repro.sim.harness`) for one (workloads x policies) grid.  An
+:class:`Experiment` is one paper figure, table or ablation as data: the
+cells it needs and a pure reduce over their results;
+:func:`repro.sim.experiments.regenerate` runs the union of many.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import MEDIUM, ProcessorConfig
 from repro.sim.harness import SweepFailed, make_grid, run_sweep
@@ -31,8 +30,7 @@ def run_policies(
     The same generated trace is reused across policies for a workload
     (the harness's inline trace cache), so policy comparisons are on
     identical instruction streams.  The first failure is re-raised
-    immediately; use :func:`run_policies_resilient` to get partial
-    results instead.
+    immediately.
     """
     jobs = make_grid(
         workloads, policies, configs=(config,),
@@ -48,28 +46,22 @@ def run_policies(
     return report.by_workload()
 
 
-def run_policies_resilient(
-    workloads: Sequence[str],
-    policies: Sequence[str],
-    config: ProcessorConfig = MEDIUM,
-    num_instructions: int = DEFAULT_INSTRUCTIONS,
-    seed: Optional[int] = None,
-    **sweep_kwargs,
-):
-    """Like :func:`run_policies`, but failures become result cells.
+@dataclass(frozen=True)
+class Experiment:
+    """One figure, table or ablation: its cells and the reduce over them.
 
-    Extra keyword arguments (``timeout``, ``retries``, ``cache_dir``,
-    ``max_workers``, ...) pass straight through to
-    :func:`~repro.sim.harness.run_sweep`; cells run in-process
-    (``max_workers=0``) unless ``max_workers`` says otherwise, for parity
-    with :func:`run_policies`.
+    ``cells`` holds ``(policies, configs)`` blocks, each crossed with the
+    experiment's programs at ``instructions``; the analytic circuit
+    models declare none, and ``reduce()`` then takes no arguments.  For a
+    simulated experiment ``reduce(results, programs)`` gets
+    ``results[config][workload][policy]`` and returns the payload.
+    ``programs`` is the default program list (empty: the full suite).
     """
-    sweep_kwargs.setdefault("max_workers", 0)
-    jobs = make_grid(
-        workloads, policies, configs=(config,),
-        num_instructions=num_instructions, seed=seed,
-    )
-    return run_sweep(jobs, **sweep_kwargs)
+
+    reduce: Callable[..., dict]
+    cells: Tuple[Tuple[Tuple[str, ...], Tuple[ProcessorConfig, ...]], ...] = ()
+    instructions: int = 60_000
+    programs: Tuple[str, ...] = ()
 
 
 def format_table(

@@ -26,9 +26,10 @@ class TestCli:
         assert "shift" in out and "rand" in out
 
     def test_analytic_experiment(self, capsys):
-        assert main(["experiment", "tab5"]) == 0
+        assert main(["experiment", "tab5", "sec47"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["age_matrix"] == 1.708
+        assert set(data) == {"tab5", "sec47"}
+        assert data["tab5"]["age_matrix"] == 1.708
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

@@ -34,7 +34,7 @@ from repro.sim.results import (
     stats_from_dict,
     stats_to_dict,
 )
-from repro.sim.runner import run_policies, run_policies_resilient
+from repro.sim.runner import run_policies
 from repro.sim.simulator import simulate
 
 N = 3000  # instruction budget: seconds-scale cells
@@ -125,6 +125,18 @@ class TestJobsAndValidation:
         capped = dataclasses.replace(job, max_cycles=10**6,
                                      warmup_instructions=500)
         assert capped.key == job.key + "|max_cycles=1000000|warmup=500"
+
+    def test_a_replaced_config_under_a_registered_name_is_its_own_cell(self):
+        job = SweepJob("exchange2", "swque", MEDIUM, 2000)
+        twin = dataclasses.replace(job, config=dataclasses.replace(
+            MEDIUM, swque=dataclasses.replace(MEDIUM.swque, switch_penalty=40)))
+        assert twin.config.name == "medium" and twin.key != job.key
+        # Registered configs keep their plain key, even as an equal copy.
+        equal = dataclasses.replace(job, config=dataclasses.replace(MEDIUM))
+        assert equal.key == job.key == "exchange2|swque|medium|n=2000|seed=None"
+        report = run_sweep([job, twin], max_workers=0)
+        assert report.all_ok and report.executed == 2
+        assert list(report.cells) == [job.key, twin.key]
 
     def test_bad_policy_rejected_before_running(self):
         with pytest.raises(ValueError, match="unknown IQ policy"):
@@ -542,13 +554,6 @@ class TestRunnersOnTheHarness:
         # fail-fast mode must re-raise it, not wrap it in SweepFailed.
         with pytest.raises(KeyError, match="unknown benchmark"):
             run_policies(["nosuchbench"], ["age"], num_instructions=N)
-
-    def test_run_policies_resilient_returns_report(self):
-        report = run_policies_resilient(["exchange2"], ["age"],
-                                        num_instructions=N)
-        assert report.all_ok
-        nested = report.by_workload()
-        assert nested["exchange2"]["age"].ipc > 0
 
 
 class TestGracefulInterrupt:

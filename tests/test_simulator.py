@@ -96,9 +96,9 @@ class TestResultHelpers:
             geomean([])
 
     def test_geomean_speedup(self):
-        pairs = [(self._result(1.1), self._result(1.0)),
-                 (self._result(1.21), self._result(1.1))]
-        value = geomean_speedup(pairs)
+        results = {"a": {"x": self._result(1.1), "base": self._result(1.0)},
+                   "b": {"x": self._result(1.21), "base": self._result(1.1)}}
+        value = geomean_speedup(results, ["a", "b"], "x", "base")
         assert value == pytest.approx(0.1, abs=1e-9)
 
     def test_stats_as_dict_contains_derived(self):
